@@ -433,10 +433,10 @@ let ablation_combine () =
   let entries =
     [
       ( "eager/undo-per-op",
-        Some (W.Impls.eager_mode ()),
+        Some (W.Registry.eager_mode ()),
         fun () -> S.P_hashmap.ops (S.P_hashmap.make ~combine_undo:false ()) );
       ( "eager/undo-combined",
-        Some (W.Impls.eager_mode ()),
+        Some (W.Registry.eager_mode ()),
         fun () -> S.P_hashmap.ops (S.P_hashmap.make ~combine_undo:true ()) );
       ( "lazy-snap/replay",
         None,
@@ -588,14 +588,14 @@ let compose_bench () =
          S.P_pqueue.ops
            (S.P_pqueue.make ~cmp:Int.compare ~lap:S.Trait.Pessimistic ()))
        ~counter_lap:S.Trait.Pessimistic);
-  bench "all-lazy-optimistic" ~config:(W.Impls.eager_mode ())
+  bench "all-lazy-optimistic" ~config:(W.Registry.eager_mode ())
     (* counter is eager; Eager_lazy covers it, lazy structures are
        opaque under every mode *)
     (make_world
        ~map:(fun () -> S.P_lazy_hashmap.ops (S.P_lazy_hashmap.make ()))
        ~pq:(fun () -> S.P_lazy_pqueue.ops (S.P_lazy_pqueue.make ~cmp:Int.compare ()))
        ~counter_lap:S.Trait.Optimistic);
-  bench "mixed" ~config:(W.Impls.eager_mode ())
+  bench "mixed" ~config:(W.Registry.eager_mode ())
     (make_world
        ~map:(fun () -> S.P_lazy_triemap.ops (S.P_lazy_triemap.make ()))
        ~pq:(fun () ->
@@ -746,7 +746,7 @@ let overload () =
     "over" "mean(ms)" "ops/s" "commits" "min/wkr" "shed" "tmout" "budg" "wkill";
   Printf.printf "%s\n" (String.make 104 '-');
   let key_range = 256 in
-  let config = Some (W.Impls.eager_mode ()) in
+  let config = Some (W.Registry.eager_mode ()) in
   Qos.Shedder.enable ();
   let wd = Qos.Watchdog.start () in
   Fun.protect
@@ -826,7 +826,7 @@ let overload () =
                   ("timed_out", Obs.Json.Int (sum timed_out));
                   ("budget_exhausted", Obs.Json.Int (sum budget));
                   ( "qos_state",
-                    Obs.Json.String (Qos.Hysteresis.state_name (Qos.Shedder.state ())) );
+                    Obs.Json.String (if Qos.Shedder.degraded () then "degraded" else "normal") );
                   ( "stats",
                     Obs.Json.Obj
                       (List.map

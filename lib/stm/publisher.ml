@@ -134,28 +134,15 @@ let set_combine_linger s =
 
 let combine_linger () = float_of_int (Atomic.get linger_ns_v) *. 1e-9
 
-(* Adaptive linger: arm the configured linger only when the gate has
-   recently been contended.  A solo committer that wins the gate on
-   arrival has nobody to wait for — lingering would add pure latency —
-   so losers stamp [last_contended_ns] when they queue a slot, and the
-   combiner consults the stamp: no contention inside the window means
-   no dwell.  On by default ([PROUST_COMBINE_LINGER_ADAPTIVE=0] pins
-   the legacy always-on behaviour): batches only ever form out of
-   contention, so suppressing the linger in its absence costs nothing
-   while restoring the uncontended commit's zero-overhead path even
-   with a linger budget configured. *)
-let adaptive_linger_v =
-  Atomic.make
-    (match Sys.getenv_opt "PROUST_COMBINE_LINGER_ADAPTIVE" with
-    | Some ("0" | "off" | "OFF" | "false") -> false
-    | _ -> true)
-
-let set_adaptive_linger b = Atomic.set adaptive_linger_v b
-let adaptive_linger () = Atomic.get adaptive_linger_v
-
-(* Monotonic ns of the last observed gate contention (a publisher that
-   lost [try_gate] and queued a slot).  Plain store: the stamp is a
-   heuristic signal, racing writers all write "now". *)
+(* The linger is armed only when the gate has recently been contended.
+   A solo committer that wins the gate on arrival has nobody to wait
+   for — lingering would add pure latency — so a publisher that loses
+   [try_gate] stamps [last_contended_ns] (monotonic ns) when it queues
+   a slot, and the combiner consults the stamp: no contention inside
+   the window means no dwell.  Batches only ever form out of
+   contention, so suppressing the linger in its absence costs nothing.
+   Plain store: the stamp is a heuristic signal, racing writers all
+   write "now". *)
 let last_contended_ns = Atomic.make 0
 
 (* How long one contention observation keeps the linger armed.  Well
@@ -172,10 +159,7 @@ let gate_recently_contended () =
 (* The linger budget a combiner should actually use right now. *)
 let effective_linger_ns () =
   let ns = Atomic.get linger_ns_v in
-  if ns = 0 then 0
-  else if Atomic.get adaptive_linger_v && not (gate_recently_contended ())
-  then 0
-  else ns
+  if ns <> 0 && gate_recently_contended () then ns else 0
 
 (* ------------------------------------------------------------------ *)
 (* The publication list                                                 *)
@@ -462,8 +446,8 @@ let combiner_commit t =
             let batch = List.rev (Atomic.exchange pub_list []) in
             abandoned := drain_batch bs ~committed batch;
             (* A batch drained means the gate *is* contended: re-read
-               the effective budget so an adaptive combiner that
-               started solo lingers once arrivals materialize. *)
+               the effective budget so a combiner that started solo
+               lingers once arrivals materialize. *)
             let linger_ns = effective_linger_ns () in
             if linger_ns <> 0 then
               linger_until := Clock.now_mono_ns () + linger_ns
@@ -499,8 +483,8 @@ let publish_grouped t =
   check_deadline t;
   if try_gate t then consume t (Committed (combiner_commit t))
   else begin
-    (* Losing the gate is the observed-contention signal the adaptive
-       linger arms on. *)
+    (* Losing the gate is the observed-contention signal the linger
+       arms on. *)
     note_gate_contention ();
     let sl = { sl_txn = t; sl_state = Atomic.make Waiting } in
     push_slot sl;

@@ -1,212 +1,83 @@
-(* Transaction quality-of-service: overload shedding and the
-   stuck-transaction watchdog.
+(* Transaction quality-of-service: admission control under overload
+   and the stuck-transaction watchdog.
 
    Deadlines and retry budgets live in the attempt machinery itself
    (Txn_desc carries the deadline; Commit_ladder enforces both at
-   attempt boundaries); this module holds the two control loops that
-   sit *outside* any one transaction:
+   attempt boundaries); this module holds the controllers that sit
+   *outside* any one transaction:
 
-   - [Shedder]: an admission controller that watches the process-wide
-     abort rate and, when the system is thrashing, turns new optional
-     work away at the door instead of letting it pile onto the
-     contention that is causing the thrashing;
+   - [Tenant]: per-tenant token-bucket admission and abort/read-mix
+     EWMAs, so an antagonist's thrashing is charged to the antagonist;
+   - [Brownout]: a hysteresis ladder fed by admission lag that
+     degrades service stepwise, by tenant class;
+   - [Shedder]: the class-blind, process-wide variant — a one-rung
+     ladder fed by the abort rate that, when the system is thrashing,
+     turns new optional work away at the door instead of letting it
+     pile onto the contention that is causing the thrashing;
    - [Watchdog]: a supervisor that scans the per-domain watch slots
      ({!Txn_state.watch_list}) for attempts that have been running far
      longer than the observed p99 commit latency and kills them through
      the ordinary remote-kill path, escalating to breaking the serial
      commit gate when the gate holder itself is the stuck party.
 
-   Both are off by default and their disabled fast paths are single
-   atomic loads, per the repo-wide observability budget. *)
+   The three admission controllers are built from the same parts: one
+   EWMA update, one CAS-claimed sampling gate, one token bucket and
+   one ladder step.  All are off by default and their disabled fast
+   paths are single atomic loads, per the repo-wide observability
+   budget. *)
 
 (* ------------------------------------------------------------------ *)
-(* Hysteresis                                                           *)
+(* Shared parts                                                         *)
 
-(* The admission state machine, kept pure (no clocks, no atomics) so
-   qcheck can drive it through arbitrary rate sequences and assert the
-   no-flapping property directly. *)
-module Hysteresis = struct
-  type state = Normal | Degraded
+(* One EWMA update; the first sample ([have = false]) seeds it. *)
+let ewma ~alpha ~have prev sample =
+  if have then (alpha *. sample) +. ((1.0 -. alpha) *. prev) else sample
 
-  let state_name = function Normal -> "normal" | Degraded -> "degraded"
+(* Time gate: [next_ns] holds the next [Clock.now_mono_ns] at which a
+   sample is due.  Claimed by CAS, so exactly one caller per [period]
+   seconds sees [true] and pays for that window's bookkeeping. *)
+let claim_window next_ns ~period =
+  let due = Atomic.get next_ns in
+  let now = Clock.now_mono_ns () in
+  now >= due
+  && Atomic.compare_and_set next_ns due (now + int_of_float (period *. 1e9))
 
-  (* [step] returns the successor state and whether a transition
-     happened.  The two thresholds deliberately straddle a dead band
-     ([recover_below < degrade_above]): a rate wandering inside the
-     band never flips the state, which is the anti-flapping property
-     the qcheck suite pins down. *)
-  let step ~degrade_above ~recover_below state rate =
-    match state with
-    | Normal -> if rate > degrade_above then (Degraded, true) else (Normal, false)
-    | Degraded ->
-        if rate < recover_below then (Normal, true) else (Degraded, false)
-end
-
-(* ------------------------------------------------------------------ *)
-(* The overload shedder                                                 *)
-
-module Shedder = struct
-  type config = {
-    sample_window : float;
-        (* seconds between abort-rate samples of the Stats counters *)
-    alpha : float;  (* EWMA weight of the newest window *)
-    degrade_above : float;  (* EWMA abort rate that enters Degraded *)
-    recover_below : float;  (* EWMA abort rate that re-enters Normal *)
-    min_window_attempts : int;
-        (* windows with fewer attempt starts than this are discarded:
-           a near-idle window's rate is mostly noise *)
-    bucket_capacity : float;  (* token bucket burst size *)
-    refill_per_s : float;  (* tokens per second while Degraded *)
-  }
-
-  let default_config =
-    {
-      sample_window = 0.01;
-      alpha = 0.3;
-      degrade_above = 0.7;
-      recover_below = 0.4;
-      min_window_attempts = 32;
-      bucket_capacity = 64.0;
-      refill_per_s = 2000.0;
-    }
-
-  (* Fast-path state: both words are read on every [admit] while
-     enabled, written only on control-plane transitions. *)
-  let on = Atomic.make false
-  let degraded = Atomic.make false
-
-  (* Time gate for sampling: the next [Clock.now_mono_ns] at which some
-     admitting domain should take a sample.  Claimed by CAS so exactly
-     one domain pays for each window's bookkeeping. *)
-  let next_sample_ns = Atomic.make 0
-
-  (* Control block, mutated only under [lock] by the domain that won
-     the sample CAS (or by tests via [inject_sample]). *)
-  type ctl = {
-    mutable cfg : config;
-    mutable ewma : float;
-    mutable have_ewma : bool;
-    mutable last : Stats.snapshot;
-    mutable state : Hysteresis.state;
+(* Token bucket: [capacity] burst, refilled at [rate] tokens per second
+   of elapsed monotonic time, one token per admission. *)
+module Bucket = struct
+  type t = {
+    capacity : float;
+    rate : float;
+    mu : Mutex.t;
     mutable tokens : float;
     mutable last_refill_ns : int;
   }
 
-  let lock = Mutex.create ()
-
-  let ctl =
+  let make ~capacity ~rate =
     {
-      cfg = default_config;
-      ewma = 0.0;
-      have_ewma = false;
-      last = Stats.read ();
-      state = Hysteresis.Normal;
-      tokens = default_config.bucket_capacity;
-      last_refill_ns = 0;
+      capacity;
+      rate;
+      mu = Mutex.create ();
+      tokens = capacity;
+      last_refill_ns = Clock.now_mono_ns ();
     }
 
-  let publish_gauges () =
-    Proust_obs.Metrics.set_gauge "qos_state"
-      (match ctl.state with Hysteresis.Normal -> 0 | Hysteresis.Degraded -> 1);
-    Proust_obs.Metrics.set_gauge "qos_abort_ewma_bp"
-      (int_of_float (ctl.ewma *. 10_000.0))
-
-  (* Apply one abort-rate observation to the EWMA and the hysteresis
-     machine; caller holds [lock]. *)
-  let apply_rate rate =
-    ctl.ewma <-
-      (if ctl.have_ewma then
-         (ctl.cfg.alpha *. rate) +. ((1.0 -. ctl.cfg.alpha) *. ctl.ewma)
-       else rate);
-    ctl.have_ewma <- true;
-    let state', transitioned =
-      Hysteresis.step ~degrade_above:ctl.cfg.degrade_above
-        ~recover_below:ctl.cfg.recover_below ctl.state ctl.ewma
-    in
-    if transitioned then begin
-      ctl.state <- state';
-      Atomic.set degraded (state' = Hysteresis.Degraded);
-      Stats.record_degraded_transition ()
-    end;
-    publish_gauges ()
-
-  let sample_now () =
-    Mutex.lock lock;
-    let now = Stats.read () in
-    let w = Stats.diff ctl.last now in
-    ctl.last <- now;
-    if w.Stats.starts >= ctl.cfg.min_window_attempts then
-      apply_rate (float_of_int w.Stats.aborts /. float_of_int w.Stats.starts);
-    Mutex.unlock lock
-
-  let maybe_sample () =
-    let due = Atomic.get next_sample_ns in
+  let take b =
+    Mutex.lock b.mu;
     let now = Clock.now_mono_ns () in
-    if
-      now >= due
-      && Atomic.compare_and_set next_sample_ns due
-           (now + int_of_float (ctl.cfg.sample_window *. 1e9))
-    then sample_now ()
-
-  (* Token bucket, consulted only while Degraded: shaped trickle of
-     admissions so the system keeps making progress (and keeps
-     producing rate samples to recover with) instead of slamming shut. *)
-  let take_token () =
-    Mutex.lock lock;
-    let now = Clock.now_mono_ns () in
-    let dt = float_of_int (now - ctl.last_refill_ns) *. 1e-9 in
-    ctl.last_refill_ns <- now;
-    ctl.tokens <-
-      Float.min ctl.cfg.bucket_capacity
-        (ctl.tokens +. (Float.max 0.0 dt *. ctl.cfg.refill_per_s));
-    let ok = ctl.tokens >= 1.0 in
-    if ok then ctl.tokens <- ctl.tokens -. 1.0;
-    Mutex.unlock lock;
+    let dt = float_of_int (now - b.last_refill_ns) *. 1e-9 in
+    b.last_refill_ns <- now;
+    b.tokens <- Float.min b.capacity (b.tokens +. (Float.max 0.0 dt *. b.rate));
+    let ok = b.tokens >= 1.0 in
+    if ok then b.tokens <- b.tokens -. 1.0;
+    Mutex.unlock b.mu;
     ok
-
-  let admit () =
-    if not (Atomic.get on) then true
-    else begin
-      maybe_sample ();
-      if not (Atomic.get degraded) then true else take_token ()
-    end
-
-  let enable ?(config = default_config) () =
-    Mutex.lock lock;
-    ctl.cfg <- config;
-    ctl.ewma <- 0.0;
-    ctl.have_ewma <- false;
-    ctl.last <- Stats.read ();
-    ctl.state <- Hysteresis.Normal;
-    ctl.tokens <- config.bucket_capacity;
-    ctl.last_refill_ns <- Clock.now_mono_ns ();
-    Atomic.set degraded false;
-    publish_gauges ();
-    Mutex.unlock lock;
-    Atomic.set next_sample_ns
-      (Clock.now_mono_ns () + int_of_float (config.sample_window *. 1e9));
-    Atomic.set on true
-
-  let disable () =
-    Atomic.set on false;
-    Atomic.set degraded false
-
-  let enabled () = Atomic.get on
-  let state () = ctl.state
-  let abort_ewma () = if ctl.have_ewma then Some ctl.ewma else None
-
-  (* Test hook: feed one observation straight into the EWMA/hysteresis
-     without waiting for a real Stats window. *)
-  let inject_sample rate =
-    Mutex.lock lock;
-    apply_rate rate;
-    Mutex.unlock lock
 end
 
 (* ------------------------------------------------------------------ *)
 (* Per-tenant QoS classes                                               *)
 
-(* The shedder above is class-blind: one process-wide EWMA, one token
+(* The shedder below is class-blind: one process-wide EWMA, one token
    bucket, every caller equal at the door.  Multi-tenant service needs
    the opposite: each tenant carries its own admission bucket and its
    own abort/read-mix EWMAs, so an antagonist's thrashing is charged
@@ -250,8 +121,7 @@ module Tenant = struct
     cfg : config;
     c : counters;
     mu : Mutex.t;
-    mutable tokens : float;
-    mutable last_refill_ns : int;
+    bucket : Bucket.t;
     mutable abort_ewma : float;
     mutable read_ewma : float;
     mutable have_sample : bool;
@@ -274,8 +144,7 @@ module Tenant = struct
           aborts = Atomic.make 0;
         };
       mu = Mutex.create ();
-      tokens = config.burst;
-      last_refill_ns = Clock.now_mono_ns ();
+      bucket = Bucket.make ~capacity:config.burst ~rate:config.rate;
       abort_ewma = 0.0;
       read_ewma = 0.0;
       have_sample = false;
@@ -289,24 +158,9 @@ module Tenant = struct
      outcome-agnostic. *)
   let admit t =
     Atomic.incr t.c.arrivals;
-    if t.cfg.rate <= 0.0 then begin
-      Atomic.incr t.c.admitted;
-      true
-    end
-    else begin
-      Mutex.lock t.mu;
-      let now = Clock.now_mono_ns () in
-      let dt = float_of_int (now - t.last_refill_ns) *. 1e-9 in
-      t.last_refill_ns <- now;
-      t.tokens <-
-        Float.min t.cfg.burst
-          (t.tokens +. (Float.max 0.0 dt *. t.cfg.rate));
-      let ok = t.tokens >= 1.0 in
-      if ok then t.tokens <- t.tokens -. 1.0;
-      Mutex.unlock t.mu;
-      if ok then Atomic.incr t.c.admitted;
-      ok
-    end
+    let ok = t.cfg.rate <= 0.0 || Bucket.take t.bucket in
+    if ok then Atomic.incr t.c.admitted;
+    ok
 
   (* One finished episode's observations: the abort-rate sample is the
      episode's wasted-attempt share (a clean first-attempt commit is
@@ -316,18 +170,10 @@ module Tenant = struct
 
   let ewma_update t ~abort_sample ~read_sample =
     Mutex.lock t.mu;
-    if t.have_sample then begin
-      t.abort_ewma <-
-        (t.cfg.alpha *. abort_sample)
-        +. ((1.0 -. t.cfg.alpha) *. t.abort_ewma);
-      t.read_ewma <-
-        (t.cfg.alpha *. read_sample) +. ((1.0 -. t.cfg.alpha) *. t.read_ewma)
-    end
-    else begin
-      t.abort_ewma <- abort_sample;
-      t.read_ewma <- read_sample;
-      t.have_sample <- true
-    end;
+    let alpha = t.cfg.alpha and have = t.have_sample in
+    t.abort_ewma <- ewma ~alpha ~have t.abort_ewma abort_sample;
+    t.read_ewma <- ewma ~alpha ~have t.read_ewma read_sample;
+    t.have_sample <- true;
     Mutex.unlock t.mu
 
   let note_outcome t kind ~read ~aborts =
@@ -388,7 +234,7 @@ end
 (* The brownout controller                                              *)
 
 (* Stepwise graceful degradation under sustained overload.  The ladder
-   is a pure state machine (qcheck drives it like Hysteresis): pressure
+   is a pure state machine (qcheck drives it directly): pressure
    above [enter_above] for [dwell] consecutive samples climbs one
    level, below [exit_below] for [dwell] samples descends one level,
    and the dead band between them holds — so recovery is stable and
@@ -545,18 +391,10 @@ module Brownout = struct
   let note_lag t ~lag =
     Mutex.lock t.mu;
     let p = Float.max 0.0 lag /. t.cfg.lag_budget in
-    t.ewma <-
-      (if t.have then (t.cfg.alpha *. p) +. ((1.0 -. t.cfg.alpha) *. t.ewma)
-       else p);
+    t.ewma <- ewma ~alpha:t.cfg.alpha ~have:t.have t.ewma p;
     t.have <- true;
     Mutex.unlock t.mu;
-    let due = Atomic.get t.next_step_ns in
-    let now = Clock.now_mono_ns () in
-    if
-      now >= due
-      && Atomic.compare_and_set t.next_step_ns due
-           (now + int_of_float (t.cfg.sample_window *. 1e9))
-    then begin
+    if claim_window t.next_step_ns ~period:t.cfg.sample_window then begin
       Mutex.lock t.mu;
       step_locked t;
       Mutex.unlock t.mu
@@ -591,6 +429,150 @@ module Brownout = struct
     | Shed_bronze ->
         if Tenant.klass tenant = Tenant.Bronze then Shed else route_ro ()
     | Shed_gold -> Shed
+end
+
+(* ------------------------------------------------------------------ *)
+(* The overload shedder                                                 *)
+
+(* Process-wide admission control on the abort rate: a one-rung
+   brownout ladder (dwell 1, [enter_above = degrade_above],
+   [exit_below = recover_below], capped at the first rung), so the
+   Normal/Degraded machine gets the ladder's dead band for free: a rate
+   wandering inside [(recover_below, degrade_above)] never flips it. *)
+module Shedder = struct
+  type config = {
+    sample_window : float;
+        (* seconds between abort-rate samples of the Stats counters *)
+    alpha : float;  (* EWMA weight of the newest window *)
+    degrade_above : float;  (* EWMA abort rate that enters Degraded *)
+    recover_below : float;  (* EWMA abort rate that re-enters Normal *)
+    min_window_attempts : int;
+        (* windows with fewer attempt starts than this are discarded:
+           a near-idle window's rate is mostly noise *)
+    bucket_capacity : float;  (* token bucket burst size *)
+    refill_per_s : float;  (* tokens per second while Degraded *)
+  }
+
+  let default_config =
+    {
+      sample_window = 0.01;
+      alpha = 0.3;
+      degrade_above = 0.7;
+      recover_below = 0.4;
+      min_window_attempts = 32;
+      bucket_capacity = 64.0;
+      refill_per_s = 2000.0;
+    }
+
+  let rung cfg =
+    {
+      Brownout.Ladder.enter_above = cfg.degrade_above;
+      exit_below = cfg.recover_below;
+      dwell = 1;
+      max_level = Brownout.Route_ro;
+    }
+
+  (* Fast-path state: both words are read on every [admit] while
+     enabled, written only on control-plane transitions. *)
+  let on = Atomic.make false
+  let degraded_v = Atomic.make false
+  let next_sample_ns = Atomic.make 0
+
+  (* Control block, mutated only under [lock] by the domain that won
+     the sample window (or by tests via [inject_sample]). *)
+  type ctl = {
+    mutable cfg : config;
+    mutable ewma : float;
+    mutable have_ewma : bool;
+    mutable last : Stats.snapshot;
+    mutable ladder : Brownout.Ladder.t;
+    mutable bucket : Bucket.t;
+        (* consulted only while Degraded: a shaped trickle of
+           admissions keeps the system making progress (and producing
+           rate samples to recover with) instead of slamming shut *)
+  }
+
+  let lock = Mutex.create ()
+
+  let ctl =
+    {
+      cfg = default_config;
+      ewma = 0.0;
+      have_ewma = false;
+      last = Stats.read ();
+      ladder = Brownout.Ladder.initial;
+      bucket =
+        Bucket.make ~capacity:default_config.bucket_capacity
+          ~rate:default_config.refill_per_s;
+    }
+
+  let publish_gauges () =
+    Proust_obs.Metrics.set_gauge "qos_state"
+      (if Atomic.get degraded_v then 1 else 0);
+    Proust_obs.Metrics.set_gauge "qos_abort_ewma_bp"
+      (int_of_float (ctl.ewma *. 10_000.0))
+
+  (* Apply one abort-rate observation to the EWMA and the ladder;
+     caller holds [lock]. *)
+  let apply_rate rate =
+    ctl.ewma <- ewma ~alpha:ctl.cfg.alpha ~have:ctl.have_ewma ctl.ewma rate;
+    ctl.have_ewma <- true;
+    let ladder, changed =
+      Brownout.Ladder.step (rung ctl.cfg) ctl.ladder ~pressure:ctl.ewma
+    in
+    ctl.ladder <- ladder;
+    if changed then begin
+      Atomic.set degraded_v (ladder.Brownout.Ladder.level <> Brownout.Normal);
+      Stats.record_degraded_transition ()
+    end;
+    publish_gauges ()
+
+  let sample_now () =
+    Mutex.lock lock;
+    let now = Stats.read () in
+    let w = Stats.diff ctl.last now in
+    ctl.last <- now;
+    if w.Stats.starts >= ctl.cfg.min_window_attempts then
+      apply_rate (float_of_int w.Stats.aborts /. float_of_int w.Stats.starts);
+    Mutex.unlock lock
+
+  let admit () =
+    if not (Atomic.get on) then true
+    else begin
+      if claim_window next_sample_ns ~period:ctl.cfg.sample_window then
+        sample_now ();
+      (not (Atomic.get degraded_v)) || Bucket.take ctl.bucket
+    end
+
+  (* Back to Normal with a fresh EWMA, window and bucket; caller holds
+     [lock]. *)
+  let reset cfg =
+    ctl.cfg <- cfg;
+    ctl.ewma <- 0.0;
+    ctl.have_ewma <- false;
+    ctl.last <- Stats.read ();
+    ctl.ladder <- Brownout.Ladder.initial;
+    ctl.bucket <- Bucket.make ~capacity:cfg.bucket_capacity ~rate:cfg.refill_per_s;
+    Atomic.set degraded_v false;
+    publish_gauges ()
+
+  let enable ?(config = default_config) () =
+    Mutex.protect lock (fun () -> reset config);
+    Atomic.set next_sample_ns
+      (Clock.now_mono_ns () + int_of_float (config.sample_window *. 1e9));
+    Atomic.set on true
+
+  let disable () =
+    Atomic.set on false;
+    Mutex.protect lock (fun () -> reset ctl.cfg)
+
+  let enabled () = Atomic.get on
+  let degraded () = Atomic.get degraded_v
+  let abort_ewma () = if ctl.have_ewma then Some ctl.ewma else None
+
+  (* Test hook: feed one observation straight into the EWMA and the
+     ladder without waiting for a real Stats window. *)
+  let inject_sample rate = Mutex.protect lock (fun () -> apply_rate rate)
 end
 
 (* ------------------------------------------------------------------ *)

@@ -1,36 +1,24 @@
-(** Transaction quality-of-service: overload shedding and the
-    stuck-transaction watchdog.
+(** Transaction quality-of-service: admission control under overload
+    and the stuck-transaction watchdog.
 
     Deadlines and retry budgets are enforced inside the attempt
     machinery ({!Txn_desc} carries the deadline, {!Commit_ladder}
-    checks both at attempt boundaries); this module holds the control
-    loops that sit outside any one transaction.  Both are off by
-    default; their disabled fast paths are single atomic loads. *)
-
-(** The admission state machine, pure so property tests can drive it
-    through arbitrary abort-rate sequences. *)
-module Hysteresis : sig
-  type state = Normal | Degraded
-
-  val state_name : state -> string
-
-  (** [step ~degrade_above ~recover_below state rate] is the successor
-      state and whether a transition happened.  Rates inside the dead
-      band [(recover_below, degrade_above)] never flip the state. *)
-  val step :
-    degrade_above:float ->
-    recover_below:float ->
-    state ->
-    float ->
-    state * bool
-end
+    checks both at attempt boundaries); this module holds the
+    controllers that sit outside any one transaction: per-tenant
+    admission ({!Tenant}), the class-aware {!Brownout} ladder, the
+    class-blind abort-rate {!Shedder} (a one-rung brownout ladder) and
+    the {!Watchdog}.  All are off by default; their disabled fast paths
+    are single atomic loads. *)
 
 (** Admission control: tracks the process-wide abort rate as an EWMA
-    over {!Stats} windows; past [degrade_above] the shedder enters
-    [Degraded] and {!admit} only lets a token-bucket-shaped trickle of
-    new episodes through until the rate falls below [recover_below].
-    State and EWMA are published as {!Proust_obs.Metrics} gauges
-    (["qos_state"], ["qos_abort_ewma_bp"]). *)
+    over {!Stats} windows; past [degrade_above] the shedder degrades
+    and {!admit} only lets a token-bucket-shaped trickle of new
+    episodes through until the rate falls below [recover_below].  The
+    Normal/Degraded machine is a one-rung {!Brownout.Ladder} (dwell 1),
+    so rates inside the dead band [(recover_below, degrade_above)]
+    never flip it.  State and EWMA are published as
+    {!Proust_obs.Metrics} gauges (["qos_state"], 0 normal / 1
+    degraded; ["qos_abort_ewma_bp"]). *)
 module Shedder : sig
   type config = {
     sample_window : float;  (** seconds between abort-rate samples *)
@@ -45,20 +33,24 @@ module Shedder : sig
 
   val default_config : config
   val enable : ?config:config -> unit -> unit
+
+  (** Stop shedding and reset to Normal (gauges republished). *)
   val disable : unit -> unit
+
   val enabled : unit -> bool
 
   (** Admission check for one episode; [true] when disabled.  Called by
       {!Stm.atomic}, which turns a refusal into the [Shed] outcome. *)
   val admit : unit -> bool
 
-  val state : unit -> Hysteresis.state
+  (** Whether the shedder is degraded (admission costs a token). *)
+  val degraded : unit -> bool
 
   (** Current abort-rate EWMA; [None] before the first valid window. *)
   val abort_ewma : unit -> float option
 
   (** Test hook: feed one abort-rate observation directly into the
-      EWMA/hysteresis, bypassing the {!Stats} window sampler. *)
+      EWMA and the ladder, bypassing the {!Stats} window sampler. *)
   val inject_sample : float -> unit
 end
 
@@ -138,8 +130,8 @@ module Brownout : sig
   val level_of_index : int -> level
   val level_name : level -> string
 
-  (** The pure escalation state machine (qcheck-able like
-      {!Hysteresis}). *)
+  (** The pure escalation state machine, qcheck-able in isolation;
+      {!Shedder} runs a one-rung instance of it. *)
   module Ladder : sig
     type config = {
       enter_above : float;  (** pressure climbing one level *)

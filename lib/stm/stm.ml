@@ -101,8 +101,6 @@ let set_combining = Publisher.set_combining
 let combining = Publisher.combining
 let set_combine_linger = Publisher.set_combine_linger
 let combine_linger = Publisher.combine_linger
-let set_adaptive_linger = Publisher.set_adaptive_linger
-let adaptive_linger = Publisher.adaptive_linger
 let pending_publications = Publisher.pending_publications
 
 (* The combine-session face the replay logs (lib/core) build their

@@ -238,23 +238,14 @@ val combining : unit -> bool
     the budget releases the gate.  The classic flat-combining dwell
     knob; essential for batching when domains outnumber cores, where
     an arrival otherwise only lands in the drain window if the
-    combiner was preempted mid-gate.  Default [0.] (no linger);
-    [PROUST_COMBINE_LINGER] (seconds) sets it at startup. *)
+    combiner was preempted mid-gate.  The dwell is armed only when
+    the serial gate has recently been contended (a publisher lost the
+    gate inside the last few tens of ms), so a solo committer never
+    pays it.  Default [0.] (no linger); [PROUST_COMBINE_LINGER]
+    (seconds) sets it at startup. *)
 val set_combine_linger : float -> unit
 
 val combine_linger : unit -> float
-
-(** Adaptive linger: arm the configured {!combine_linger} only when
-    the serial gate has recently been contended (a publisher lost the
-    gate and queued a slot inside the last few tens of ms).  Batches
-    only ever form out of contention, so a solo committer skips the
-    dwell entirely — a linger budget can stay configured without
-    taxing uncontended commits.  On by default;
-    [PROUST_COMBINE_LINGER_ADAPTIVE=0] pins the legacy
-    always-lingering behaviour at startup. *)
-val set_adaptive_linger : bool -> unit
-
-val adaptive_linger : unit -> bool
 
 (** Publication-list entries currently waiting for a combiner,
     process-wide (0 at quiescence — the batch orphan audit). *)

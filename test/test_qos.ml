@@ -111,10 +111,29 @@ let test_budget_independent_of_too_many_attempts () =
   | (_ : unit Stm.Outcome.t) -> Alcotest.fail "expected Too_many_attempts"
   | exception Stm.Too_many_attempts _ -> ()
 
-(* -- Shedding: hysteresis properties --------------------------------- *)
+(* -- Shedding: the one-rung ladder ------------------------------------ *)
 
 let degrade_above = 0.7
 let recover_below = 0.4
+
+(* The shedder's Normal/Degraded machine: the brownout ladder with one
+   rung and dwell 1. *)
+let rung =
+  {
+    Qos.Brownout.Ladder.enter_above = degrade_above;
+    exit_below = recover_below;
+    dwell = 1;
+    max_level = Qos.Brownout.Route_ro;
+  }
+
+let rung_step st rate = Qos.Brownout.Ladder.step rung st ~pressure:rate
+let is_degraded st = st.Qos.Brownout.Ladder.level <> Qos.Brownout.Normal
+let normal = Qos.Brownout.Ladder.initial
+let degraded = { normal with Qos.Brownout.Ladder.level = Qos.Brownout.Route_ro }
+
+(* The two-state reference the shedder must match sample for sample. *)
+let reference_step was_degraded rate =
+  if was_degraded then not (rate < recover_below) else rate > degrade_above
 
 let hysteresis_tests =
   [
@@ -125,47 +144,75 @@ let hysteresis_tests =
           (fun st ->
             List.for_all
               (fun rate ->
-                let st', transitioned =
-                  Qos.Hysteresis.step ~degrade_above ~recover_below st rate
-                in
-                st' = st && not transitioned)
+                let st', transitioned = rung_step st rate in
+                is_degraded st' = is_degraded st && not transitioned)
               rates)
-          [ Qos.Hysteresis.Normal; Qos.Hysteresis.Degraded ]);
+          [ normal; degraded ]);
     qcheck ~count:500 "step is a pure function of (state, rate)"
       QCheck2.Gen.(pair bool (float_range 0.0 1.0))
       (fun (start_degraded, rate) ->
-        let st =
-          if start_degraded then Qos.Hysteresis.Degraded else Qos.Hysteresis.Normal
-        in
-        let a = Qos.Hysteresis.step ~degrade_above ~recover_below st rate in
-        let b = Qos.Hysteresis.step ~degrade_above ~recover_below st rate in
-        a = b);
+        let st = if start_degraded then degraded else normal in
+        rung_step st rate = rung_step st rate);
     qcheck ~count:500 "transitions only at threshold crossings"
       QCheck2.Gen.(list_size (int_range 1 100) (float_range 0.0 1.0))
       (fun rates ->
         let final, transitions =
           List.fold_left
             (fun (st, n) rate ->
-              let st', t =
-                Qos.Hysteresis.step ~degrade_above ~recover_below st rate
-              in
+              let st', t = rung_step st rate in
               (* A reported transition must actually change the state,
                  and be justified by the rate. *)
               if t then begin
-                assert (st' <> st);
-                match st' with
-                | Qos.Hysteresis.Degraded -> assert (rate > degrade_above)
-                | Qos.Hysteresis.Normal -> assert (rate < recover_below)
+                assert (is_degraded st' <> is_degraded st);
+                if is_degraded st' then assert (rate > degrade_above)
+                else assert (rate < recover_below)
               end
-              else assert (st' = st);
+              else assert (is_degraded st' = is_degraded st);
               (st', n + if t then 1 else 0))
-            (Qos.Hysteresis.Normal, 0) rates
+            (normal, 0) rates
         in
         (* Ending Degraded requires an odd transition count, Normal even. *)
-        match final with
-        | Qos.Hysteresis.Degraded -> transitions mod 2 = 1
-        | Qos.Hysteresis.Normal -> transitions mod 2 = 0);
+        if is_degraded final then transitions mod 2 = 1
+        else transitions mod 2 = 0);
   ]
+
+(* The shedder itself, driven through [inject_sample], against the
+   reference model. *)
+let shedder_model_test =
+  qcheck ~count:200 "shedder matches the two-state reference model"
+    QCheck2.Gen.(list_size (int_range 1 60) (float_range 0.0 1.0))
+    (fun rates ->
+      (* alpha = 1: the EWMA is the newest sample, so the shedder's
+         state is a function of the raw rate sequence. *)
+      Qos.Shedder.enable
+        ~config:
+          {
+            Qos.Shedder.default_config with
+            Qos.Shedder.sample_window = 3600.0;
+            alpha = 1.0;
+            degrade_above;
+            recover_below;
+          }
+        ();
+      Fun.protect ~finally:Qos.Shedder.disable @@ fun () ->
+      let before = Stats.read () in
+      let observed =
+        List.map
+          (fun rate ->
+            Qos.Shedder.inject_sample rate;
+            Qos.Shedder.degraded ())
+          rates
+      in
+      let _, expected, flips =
+        List.fold_left
+          (fun (d, acc, n) rate ->
+            let d' = reference_step d rate in
+            (d', d' :: acc, if d' <> d then n + 1 else n))
+          (false, [], 0) rates
+      in
+      observed = List.rev expected
+      && (Stats.diff before (Stats.read ())).Stats.degraded_transitions
+         = flips)
 
 (* -- Brownout ladder: pure state-machine properties ------------------- *)
 
@@ -379,16 +426,14 @@ let test_shed_outcome () =
       }
     ();
   Fun.protect ~finally:Qos.Shedder.disable @@ fun () ->
-  check cs "starts Normal" "normal"
-    (Qos.Hysteresis.state_name (Qos.Shedder.state ()));
+  check cb "starts Normal" false (Qos.Shedder.degraded ());
   let r = Tvar.make 0 in
   let go () = Stm.atomic (fun txn -> Stm.write txn r (Stm.read txn r + 1)) in
   (match go () with
   | Stm.Outcome.Committed () -> ()
   | o -> Alcotest.failf "normal-state admit failed: %s" (Stm.Outcome.name o));
   Qos.Shedder.inject_sample 0.95;
-  check cs "degraded after overload sample" "degraded"
-    (Qos.Hysteresis.state_name (Qos.Shedder.state ()));
+  check cb "degraded after overload sample" true (Qos.Shedder.degraded ());
   (* Burst of 2 tokens, then the door closes. *)
   let outcomes = List.init 4 (fun _ -> go ()) in
   let sheds =
@@ -399,8 +444,7 @@ let test_shed_outcome () =
   for _ = 1 to 20 do
     Qos.Shedder.inject_sample 0.0
   done;
-  check cs "recovered" "normal"
-    (Qos.Hysteresis.state_name (Qos.Shedder.state ()));
+  check cb "recovered" false (Qos.Shedder.degraded ());
   (match go () with
   | Stm.Outcome.Committed () -> ()
   | o -> Alcotest.failf "recovered admit failed: %s" (Stm.Outcome.name o));
@@ -428,6 +472,19 @@ let test_shedder_never_blocks_atomically () =
   Stm.atomically (fun txn -> Stm.write txn r 7);
   check ci "atomically committed under full shed" 7
     (Stm.atomically (fun txn -> Stm.read txn r))
+
+(* [disable] must leave nothing degraded behind: admission is open
+   again, so the state and the dashboard gauge must say Normal. *)
+let test_shedder_disable_resets () =
+  Qos.Shedder.enable
+    ~config:{ Qos.Shedder.default_config with Qos.Shedder.sample_window = 3600.0 }
+    ();
+  Qos.Shedder.inject_sample 0.95;
+  check cb "degraded before disable" true (Qos.Shedder.degraded ());
+  Qos.Shedder.disable ();
+  check cb "disable resets to Normal" false (Qos.Shedder.degraded ());
+  check copt_i "qos_state gauge back to normal" (Some 0)
+    (Proust_obs.Metrics.gauge "qos_state")
 
 (* -- Watchdog -------------------------------------------------------- *)
 
@@ -549,3 +606,7 @@ let suite =
       test_brownout_plan_routing;
   ]
   @ hysteresis_tests @ ladder_tests
+  @ [
+      test "shedder disable resets to Normal" test_shedder_disable_resets;
+      shedder_model_test;
+    ]
