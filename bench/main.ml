@@ -1,9 +1,13 @@
 (* Benchmark harness: regenerates every evaluation artifact of the
    paper (see DESIGN.md's per-experiment index).
 
-     main.exe [fig1|fig4|fig4-memo|micro|ablation-m|ablation-cm|
-               ablation-mode|pqueue|overload|durability|obs-overhead|all]
-              [--json FILE] [--trace FILE]
+     main.exe [COMMAND] [--json FILE] [--trace FILE]
+     main.exe sweep --impl a,b [-u U] [-o O] [--json FILE] [--trace FILE]
+
+   The commands, and which of them `all` (the default) runs, are the
+   [commands] table at the bottom of this file; an unknown command
+   prints them.  `sweep` benchmarks arbitrary registry entries at one
+   (u, o) point across PROUST_THREADS.
 
    --json writes every measured cell as a "proust-bench/v1" report
    (and enables the metrics layer, so cells carry latency
@@ -11,11 +15,13 @@
    trace_event file loadable in Perfetto.
 
    Environment knobs (defaults tuned for a small container; the paper
-   ran 1M ops on 40 vCPUs):
+   ran 1M ops on 40 vCPUs); a malformed value exits with an error
+   naming the variable:
      PROUST_OPS      total operations per cell        (default 20000)
      PROUST_THREADS  comma-separated thread counts    (default 1,2,4,8)
      PROUST_TRIALS   measured trials per cell         (default 2)
-     PROUST_QUICK    =1 shrinks the fig4 grid for smoke runs
+     PROUST_MODE     default STM mode (Stm.Mode.names)
+     PROUST_QUICK    =1 shrinks the grids for smoke runs
      PROUST_DOMAINS  base domain count for the overload sweep
      PROUST_DEADLINE_US / PROUST_MAX_ATTEMPTS  per-op QoS bounds *)
 
@@ -25,13 +31,58 @@ module B = Proust_baselines
 module V = Proust_verify
 module Obs = Proust_obs
 
-let env_int name default =
-  match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
 
-let env_int_list name default =
-  match Sys.getenv_opt name with
+(* Every numeric knob, whether a flag or an environment variable,
+   parses through here, so a typo stops the run with the knob's name
+   instead of a bare [Failure "int_of_string"] or a silent default. *)
+let parse ~what ~expected conv s =
+  match conv s with
+  | Some v -> v
+  | None -> die "%s: expected %s, got %S" what expected s
+
+let int_list s =
+  List.fold_right
+    (fun x acc ->
+      match (int_of_string_opt (String.trim x), acc) with
+      | Some v, Some l -> Some (v :: l)
+      | _ -> None)
+    (String.split_on_char ',' s) (Some [])
+
+let knob ~expected conv lookup name default =
+  match lookup name with
   | None -> default
-  | Some s -> String.split_on_char ',' s |> List.map int_of_string
+  | Some s -> parse ~what:name ~expected conv s
+
+let env_int = knob ~expected:"an integer" int_of_string_opt Sys.getenv_opt
+let env_float = knob ~expected:"a number" float_of_string_opt Sys.getenv_opt
+
+let env_int_list =
+  knob ~expected:"a comma-separated list of integers" int_list Sys.getenv_opt
+
+(* The first bare argument is the command (default "all"); the value
+   flags may appear anywhere around it, and anything else is an
+   error rather than silently ignored. *)
+let value_flags = [ "--json"; "--trace"; "--impl"; "-u"; "-o" ]
+
+let command, flags =
+  let rec go cmd flags = function
+    | f :: v :: rest when List.mem f value_flags -> go cmd ((f, v) :: flags) rest
+    | [ f ] when List.mem f value_flags -> die "%s: missing value" f
+    | a :: _ when String.starts_with ~prefix:"-" a ->
+        die "unknown option %s" a
+    | a :: rest when cmd = None -> go (Some a) flags rest
+    | a :: _ -> die "unexpected argument %s" a
+    | [] -> (Option.value cmd ~default:"all", flags)
+  in
+  go None [] (List.tl (Array.to_list Sys.argv))
+
+let flag name = List.assoc_opt name flags
 
 let quick = Sys.getenv_opt "PROUST_QUICK" = Some "1"
 let total_ops = env_int "PROUST_OPS" (if quick then 4_000 else 20_000)
@@ -51,28 +102,32 @@ let spec ~u ~o =
     total_ops;
   }
 
-(* --json FILE / --trace FILE may appear anywhere after the command. *)
-let flag_val name =
-  let rec go = function
-    | f :: v :: _ when f = name -> Some v
-    | _ :: rest -> go rest
-    | [] -> None
-  in
-  go (Array.to_list Sys.argv)
-
-let json_file = flag_val "--json"
-let trace_file = flag_val "--trace"
+let json_file = flag "--json"
+let trace_file = flag "--trace"
 let cells : Obs.Json.t list ref = ref []
 
-(* Every measured cell flows through here: printed as a table row and,
-   under --json, retained for the report written at exit. *)
+(* Under --json, a cell is retained for the report written at exit. *)
+let emit cell = if json_file <> None then cells := cell :: !cells
+
+(* Every Runner-measured cell flows through here: printed as a table
+   row and emitted as a JSON cell. *)
 let record ~name (r : W.Runner.result) =
   W.Report.row ~name r;
-  if json_file <> None then cells := W.Report.json_cell ~name r :: !cells
+  emit (W.Report.json_cell ~name r)
 
 let run_cell (e : W.Registry.entry) ~u ~o ~threads =
   let r = W.Runner.run_entry ~trials ~warmup:1 ~threads ~spec:(spec ~u ~o) e in
   record ~name:e.W.Registry.name r
+
+(* A map variant outside the registry (an ablation point), labelled
+   [name]. *)
+let run_map ?config ?dist ~name ~spec ~threads make =
+  record ~name
+    (W.Runner.run ?config ?dist ~label:name ~trials ~warmup:1 ~threads ~spec
+       make)
+
+(* The contention ablations skip t = 1. *)
+let contended = List.filter (fun t -> t > 1) threads_list
 
 (* ------------------------------------------------------------------ *)
 
@@ -145,14 +200,11 @@ let ablation_m () =
     (fun slots ->
       List.iter
         (fun threads ->
-          let name = Printf.sprintf "lazy-memo/M=%d" slots in
-          let r =
-            W.Runner.run ~label:name ~trials ~warmup:1 ~threads
-              ~spec:(spec ~u ~o) (fun () ->
-                S.P_lazy_hashmap.ops (S.P_lazy_hashmap.make ~slots ()))
-          in
-          record ~name r)
-        (List.filter (fun t -> t > 1) threads_list))
+          run_map
+            ~name:(Printf.sprintf "lazy-memo/M=%d" slots)
+            ~spec:(spec ~u ~o) ~threads
+            (fun () -> S.P_lazy_hashmap.ops (S.P_lazy_hashmap.make ~slots ())))
+        contended)
     [ 1; 16; 64; 256; 1024; 4096 ]
 
 let ablation_cm () =
@@ -166,15 +218,10 @@ let ablation_cm () =
           let config = Some { base with Stm.cm } in
           let make () = B.Predication_map.ops (B.Predication_map.make ()) in
           let sp = { (spec ~u:1.0 ~o:4) with W.Workload.key_range = 64 } in
-          let name =
-            Printf.sprintf "predication/%s" cm.Proust_stm.Contention.name
-          in
-          let r =
-            W.Runner.run ?config ~label:name ~trials ~warmup:1 ~threads
-              ~spec:sp make
-          in
-          record ~name r)
-        (List.filter (fun t -> t > 1) threads_list))
+          run_map ?config
+            ~name:(Printf.sprintf "predication/%s" cm.Proust_stm.Contention.name)
+            ~spec:sp ~threads make)
+        contended)
     (Proust_stm.Contention.all ())
 
 let ablation_mode () =
@@ -206,12 +253,8 @@ let ablation_mode () =
         (fun (name, make) ->
           List.iter
             (fun threads ->
-              let r =
-                W.Runner.run ?config ~label:name ~trials ~warmup:1 ~threads
-                  ~spec:(spec ~u:0.5 ~o:16) make
-              in
-              record ~name r)
-            (List.filter (fun t -> t > 1) threads_list))
+              run_map ?config ~name ~spec:(spec ~u:0.5 ~o:16) ~threads make)
+            contended)
         entries)
     modes
 
@@ -273,45 +316,37 @@ let mvcc_bench () =
           let tvs = Array.init key_range (fun _ -> Tvar.make 0) in
           let per = max 500 (total_ops / workers) in
           let run_once ~config ~ro_reads () =
-            let started = Array.make workers 0.0 in
-            let finished = Array.make workers 0.0 in
-            let enter = W.Runner.barrier workers in
-            let body i () =
-              let rng = Random.State.make [| 0x3c5; i |] in
-              let read_scan txn =
-                let acc = ref 0 in
-                for _ = 1 to reads_per_txn do
-                  acc :=
-                    !acc + Stm.read txn tvs.(Random.State.int rng key_range)
-                done;
-                !acc
-              in
-              enter ();
-              started.(i) <- Clock.now_mono ();
-              for _ = 1 to per do
-                if Random.State.float rng 1.0 < read_pct then
-                  if ro_reads then ignore (Stm.read_only ~config read_scan)
-                  else ignore (Stm.atomically ~config read_scan)
-                else
-                  Stm.atomically ~config (fun txn ->
-                      for _ = 1 to writes_per_txn do
-                        let tv = tvs.(Random.State.int rng key_range) in
-                        Stm.write txn tv (Stm.read txn tv + 1)
-                      done)
-              done;
-              finished.(i) <- Clock.now_mono ()
-            in
-            let ds = List.init workers (fun i -> Domain.spawn (body i)) in
-            List.iter Domain.join ds;
-            (Array.fold_left max neg_infinity finished
-            -. Array.fold_left min infinity started)
-            *. 1000.0
+            1000.0
+            *. W.Runner.timed ~threads:workers (fun i ->
+                   let rng = Random.State.make [| 0x3c5; i |] in
+                   let read_scan txn =
+                     let acc = ref 0 in
+                     for _ = 1 to reads_per_txn do
+                       acc :=
+                         !acc
+                         + Stm.read txn tvs.(Random.State.int rng key_range)
+                     done;
+                     !acc
+                   in
+                   for _ = 1 to per do
+                     if Random.State.float rng 1.0 < read_pct then
+                       if ro_reads then ignore (Stm.read_only ~config read_scan)
+                       else ignore (Stm.atomically ~config read_scan)
+                     else
+                       Stm.atomically ~config (fun txn ->
+                           for _ = 1 to writes_per_txn do
+                             let tv = tvs.(Random.State.int rng key_range) in
+                             Stm.write txn tv (Stm.read txn tv + 1)
+                           done)
+                   done)
           in
-          (* Same discipline as Runner — one warmup, then best of
-             [trials] — except the trials ALTERNATE between the two
-             impls.  The containers this runs in are noisy on minute
-             scales; running all of one impl's trials before the
-             other's would fold that drift into the comparison. *)
+          (* One warmup per impl, then [trials] measured runs that
+             ALTERNATE between the two impls; the cell reports the best
+             run (Runner reports the mean).  The containers this runs
+             in are noisy on minute scales: running all of one impl's
+             trials before the other's would fold that drift into the
+             comparison, and the best run is the least disturbed by
+             it. *)
           let rows =
             List.map
               (fun (impl, mode, ro_reads) ->
@@ -342,38 +377,33 @@ let mvcc_bench () =
               Printf.printf "%-16s %4.0f%% %4d %10.2f %12.0f %8d %9d %9d\n%!"
                 name (read_pct *. 100.0) workers dt_ms ops_per_s
                 (stat "aborts") (stat "ro_commits") (stat "ro_aborts");
-              if json_file <> None then
-                cells :=
-                  Obs.Json.Obj
-                    [
-                      ("kind", Obs.Json.String "mvcc");
-                      ("impl", Obs.Json.String impl);
-                      ("mode", Obs.Json.String (Stm.mode_name mode));
-                      ("read_pct", Obs.Json.Float (read_pct *. 100.0));
-                      ("threads", Obs.Json.Int workers);
-                      ("key_range", Obs.Json.Int key_range);
-                      ("reads_per_txn", Obs.Json.Int reads_per_txn);
-                      ("writes_per_txn", Obs.Json.Int writes_per_txn);
-                      ("ops", Obs.Json.Int total);
-                      ("mean_ms", Obs.Json.Float dt_ms);
-                      ("ops_per_s", Obs.Json.Float ops_per_s);
-                      ("aborts", Obs.Json.Int (stat "aborts"));
-                      ("ro_commits", Obs.Json.Int (stat "ro_commits"));
-                      ("ro_aborts", Obs.Json.Int (stat "ro_aborts"));
-                      ("versions_gced", Obs.Json.Int (stat "versions_gced"));
-                      ( "stats",
-                        Obs.Json.Obj
-                          (List.map
-                             (fun (k, v) -> (k, Obs.Json.Int v))
-                             !acc) );
-                    ]
-                  :: !cells)
+              emit
+                (Obs.Json.Obj
+                   [
+                     ("kind", Obs.Json.String "mvcc");
+                     ("impl", Obs.Json.String impl);
+                     ("mode", Obs.Json.String (Stm.mode_name mode));
+                     ("read_pct", Obs.Json.Float (read_pct *. 100.0));
+                     ("threads", Obs.Json.Int workers);
+                     ("key_range", Obs.Json.Int key_range);
+                     ("reads_per_txn", Obs.Json.Int reads_per_txn);
+                     ("writes_per_txn", Obs.Json.Int writes_per_txn);
+                     ("ops", Obs.Json.Int total);
+                     ("mean_ms", Obs.Json.Float dt_ms);
+                     ("ops_per_s", Obs.Json.Float ops_per_s);
+                     ("aborts", Obs.Json.Int (stat "aborts"));
+                     ("ro_commits", Obs.Json.Int (stat "ro_commits"));
+                     ("ro_aborts", Obs.Json.Int (stat "ro_aborts"));
+                     ("versions_gced", Obs.Json.Int (stat "versions_gced"));
+                     ("stats", W.Report.stats_json !acc);
+                   ]))
             rows)
-        (List.filter (fun t -> t > 1) threads_list))
+        contended)
     [ 0.5; 0.9; 0.99 ]
 
-let pqueue_bench () =
-  W.Report.section "PQ-BENCH: priority queue, eager vs pessimistic vs lazy";
+(* Every registry entry of one kind at u=0.5, o=1, half the ops. *)
+let registry_bench title entries =
+  W.Report.section title;
   W.Report.header ();
   let sp = { (spec ~u:0.5 ~o:1) with W.Workload.total_ops = max 1_000 (total_ops / 2) } in
   List.iter
@@ -383,19 +413,14 @@ let pqueue_bench () =
           let r = W.Runner.run_entry ~trials ~warmup:1 ~threads ~spec:sp e in
           record ~name:e.W.Registry.name r)
         threads_list)
+    entries
+
+let pqueue_bench () =
+  registry_bench "PQ-BENCH: priority queue, eager vs pessimistic vs lazy"
     (W.Registry.pqueues ())
 
 let queue_bench () =
-  W.Report.section "FIFO-BENCH: queue wrappers across the design space";
-  W.Report.header ();
-  let sp = { (spec ~u:0.5 ~o:1) with W.Workload.total_ops = max 1_000 (total_ops / 2) } in
-  List.iter
-    (fun (e : W.Registry.entry) ->
-      List.iter
-        (fun threads ->
-          let r = W.Runner.run_entry ~trials ~warmup:1 ~threads ~spec:sp e in
-          record ~name:e.W.Registry.name r)
-        threads_list)
+  registry_bench "FIFO-BENCH: queue wrappers across the design space"
     (W.Registry.queues ())
 
 let ablation_zipf () =
@@ -415,13 +440,10 @@ let ablation_zipf () =
         (fun (name, make) ->
           List.iter
             (fun threads ->
-              let label = Printf.sprintf "%s/%s" name dist_name in
-              let r =
-                W.Runner.run ~dist ~label ~trials ~warmup:1 ~threads
-                  ~spec:(spec ~u:0.5 ~o:16) make
-              in
-              record ~name:label r)
-            (List.filter (fun t -> t > 1) threads_list))
+              run_map ~dist
+                ~name:(Printf.sprintf "%s/%s" name dist_name)
+                ~spec:(spec ~u:0.5 ~o:16) ~threads make)
+            contended)
         entries)
     [ ("uniform", W.Workload.Uniform); ("zipf99", W.Workload.Zipf 0.99) ]
 
@@ -453,12 +475,8 @@ let ablation_combine () =
       List.iter
         (fun threads ->
           let sp = { (spec ~u:0.75 ~o:64) with W.Workload.key_range = 128 } in
-          let r =
-            W.Runner.run ?config ~label:name ~trials ~warmup:1 ~threads
-              ~spec:sp make
-          in
-          record ~name r)
-        (List.filter (fun t -> t > 1) threads_list))
+          run_map ?config ~name ~spec:sp ~threads make)
+        contended)
     entries
 
 let structures_bench () =
@@ -473,25 +491,14 @@ let structures_bench () =
     List.iter
       (fun threads ->
         let q = make_q () in
-        let enter = W.Runner.barrier threads in
         let per = total / threads in
         let before = Stats.read () in
-        let started = Array.make threads 0.0 in
-        let finished = Array.make threads 0.0 in
-        let body i () =
-          enter ();
-          started.(i) <- Clock.now_mono ();
-          for j = 1 to per do
-            Stm.atomically ?config (fun txn -> step q txn j)
-          done;
-          finished.(i) <- Clock.now_mono ()
-        in
-        let ds = List.init threads (fun i -> Domain.spawn (body i)) in
-        List.iter Domain.join ds;
         let dt =
-          (Array.fold_left max neg_infinity finished
-          -. Array.fold_left min infinity started)
-          *. 1000.0
+          1000.0
+          *. W.Runner.timed ~threads (fun _ ->
+                 for j = 1 to per do
+                   Stm.atomically ?config (fun txn -> step q txn j)
+                 done)
         in
         let st = Stats.diff before (Stats.read ()) in
         Printf.printf "%-22s %4d %10.2f %12.0f %9d %9d\n%!" name threads dt
@@ -533,26 +540,15 @@ let compose_bench () =
     List.iter
       (fun threads ->
         let step, _world = make_world () in
-        let enter = W.Runner.barrier threads in
         let per = total_txns / threads in
         let before = Stats.read () in
-        let started = Array.make threads 0.0 in
-        let finished = Array.make threads 0.0 in
-        let body i () =
-          let rng = Random.State.make [| i + 13 |] in
-          enter ();
-          started.(i) <- Clock.now_mono ();
-          for _ = 1 to per do
-            Stm.atomically ?config (fun txn -> step rng txn)
-          done;
-          finished.(i) <- Clock.now_mono ()
-        in
-        let ds = List.init threads (fun i -> Domain.spawn (body i)) in
-        List.iter Domain.join ds;
         let dt =
-          (Array.fold_left max neg_infinity finished
-          -. Array.fold_left min infinity started)
-          *. 1000.0
+          1000.0
+          *. W.Runner.timed ~threads (fun i ->
+                 let rng = Random.State.make [| i + 13 |] in
+                 for _ = 1 to per do
+                   Stm.atomically ?config (fun txn -> step rng txn)
+                 done)
         in
         let st = Stats.diff before (Stats.read ()) in
         Printf.printf "%-22s %4d %10.2f %12.0f %9d %9d\n%!" name threads dt
@@ -764,36 +760,28 @@ let overload () =
           let shed = Array.make workers 0 in
           let timed_out = Array.make workers 0 in
           let budget = Array.make workers 0 in
-          let started = Array.make workers 0.0 in
-          let finished = Array.make workers 0.0 in
-          let enter = W.Runner.barrier workers in
           let before = Stats.read () in
-          let body i () =
-            let rng = Random.State.make [| 0x10ad; i |] in
-            enter ();
-            started.(i) <- Clock.now_mono ();
-            for j = 1 to per do
-              let k = Random.State.int rng key_range in
-              match
-                Stm.atomic ?config
-                  ~deadline:(Clock.now_mono () +. deadline_s)
-                  ~max_attempts
-                  (fun txn ->
-                    ignore (m.Proust_structures.Trait.Map.put txn k j))
-              with
-              | Stm.Outcome.Committed () -> committed.(i) <- committed.(i) + 1
-              | Stm.Outcome.Shed -> shed.(i) <- shed.(i) + 1
-              | Stm.Outcome.Timed_out -> timed_out.(i) <- timed_out.(i) + 1
-              | Stm.Outcome.Budget_exhausted -> budget.(i) <- budget.(i) + 1
-            done;
-            finished.(i) <- Clock.now_mono ()
-          in
-          let ds = List.init workers (fun i -> Domain.spawn (body i)) in
-          List.iter Domain.join ds;
           let dt_ms =
-            (Array.fold_left max neg_infinity finished
-            -. Array.fold_left min infinity started)
-            *. 1000.0
+            1000.0
+            *. W.Runner.timed ~threads:workers (fun i ->
+                   let rng = Random.State.make [| 0x10ad; i |] in
+                   for j = 1 to per do
+                     let k = Random.State.int rng key_range in
+                     match
+                       Stm.atomic ?config
+                         ~deadline:(Clock.now_mono () +. deadline_s)
+                         ~max_attempts
+                         (fun txn ->
+                           ignore (m.Proust_structures.Trait.Map.put txn k j))
+                     with
+                     | Stm.Outcome.Committed () ->
+                         committed.(i) <- committed.(i) + 1
+                     | Stm.Outcome.Shed -> shed.(i) <- shed.(i) + 1
+                     | Stm.Outcome.Timed_out ->
+                         timed_out.(i) <- timed_out.(i) + 1
+                     | Stm.Outcome.Budget_exhausted ->
+                         budget.(i) <- budget.(i) + 1
+                   done)
           in
           let st = Stats.diff before (Stats.read ()) in
           let sum a = Array.fold_left ( + ) 0 a in
@@ -804,36 +792,30 @@ let overload () =
             "%-14s %4d %4dx %10.2f %12.0f %9d %9d %6d %6d %6d %6d\n%!" name
             workers mult dt_ms ops_per_s total_committed min_worker (sum shed)
             (sum timed_out) (sum budget) st.Stats.watchdog_kills;
-          if json_file <> None then
-            cells :=
-              Obs.Json.Obj
-                [
-                  ("impl", Obs.Json.String name);
-                  ("u", Obs.Json.Float 1.0);
-                  ("o", Obs.Json.Int 1);
-                  ("threads", Obs.Json.Int workers);
-                  ("oversubscription", Obs.Json.Int mult);
-                  ("base_domains", Obs.Json.Int base);
-                  ("key_range", Obs.Json.Int key_range);
-                  ("ops_per_worker", Obs.Json.Int per);
-                  ("deadline_s", Obs.Json.Float deadline_s);
-                  ("max_attempts", Obs.Json.Int max_attempts);
-                  ("mean_ms", Obs.Json.Float dt_ms);
-                  ("ops_per_s", Obs.Json.Float ops_per_s);
-                  ("committed_total", Obs.Json.Int total_committed);
-                  ("committed_min_worker", Obs.Json.Int min_worker);
-                  ("shed", Obs.Json.Int (sum shed));
-                  ("timed_out", Obs.Json.Int (sum timed_out));
-                  ("budget_exhausted", Obs.Json.Int (sum budget));
-                  ( "qos_state",
-                    Obs.Json.String (if Qos.Shedder.degraded () then "degraded" else "normal") );
-                  ( "stats",
-                    Obs.Json.Obj
-                      (List.map
-                         (fun (k, v) -> (k, Obs.Json.Int v))
-                         (Stats.to_assoc st)) );
-                ]
-              :: !cells)
+          emit
+            (Obs.Json.Obj
+               [
+                 ("impl", Obs.Json.String name);
+                 ("u", Obs.Json.Float 1.0);
+                 ("o", Obs.Json.Int 1);
+                 ("threads", Obs.Json.Int workers);
+                 ("oversubscription", Obs.Json.Int mult);
+                 ("base_domains", Obs.Json.Int base);
+                 ("key_range", Obs.Json.Int key_range);
+                 ("ops_per_worker", Obs.Json.Int per);
+                 ("deadline_s", Obs.Json.Float deadline_s);
+                 ("max_attempts", Obs.Json.Int max_attempts);
+                 ("mean_ms", Obs.Json.Float dt_ms);
+                 ("ops_per_s", Obs.Json.Float ops_per_s);
+                 ("committed_total", Obs.Json.Int total_committed);
+                 ("committed_min_worker", Obs.Json.Int min_worker);
+                 ("shed", Obs.Json.Int (sum shed));
+                 ("timed_out", Obs.Json.Int (sum timed_out));
+                 ("budget_exhausted", Obs.Json.Int (sum budget));
+                 ( "qos_state",
+                   Obs.Json.String (if Qos.Shedder.degraded () then "degraded" else "normal") );
+                 ("stats", W.Report.stats_json (Stats.to_assoc st));
+               ]))
         [ 1; 2; 3; 4 ])
 
 (* ------------------------------------------------------------------ *)
@@ -869,18 +851,16 @@ let durability () =
         let per = float_of_int bytes /. float_of_int (max 1 appends) in
         Printf.printf "%-22s %-7s %9d %9d %12.1f\n%!" structure
           (D.Frame.format_name fmt) appends bytes per;
-        if json_file <> None then
-          cells :=
-            Obs.Json.Obj
-              [
-                ("kind", Obs.Json.String "durable-bytes");
-                ("structure", Obs.Json.String structure);
-                ("format", Obs.Json.String (D.Frame.format_name fmt));
-                ("commits", Obs.Json.Int appends);
-                ("bytes", Obs.Json.Int bytes);
-                ("bytes_per_commit", Obs.Json.Float per);
-              ]
-            :: !cells)
+        emit
+          (Obs.Json.Obj
+             [
+               ("kind", Obs.Json.String "durable-bytes");
+               ("structure", Obs.Json.String structure);
+               ("format", Obs.Json.String (D.Frame.format_name fmt));
+               ("commits", Obs.Json.Int appends);
+               ("bytes", Obs.Json.Int bytes);
+               ("bytes_per_commit", Obs.Json.Float per);
+             ]))
   in
   List.iter
     (fun fmt ->
@@ -916,51 +896,42 @@ let durability () =
     (fun batch_delay ->
       D.Temp.with_file (fun path ->
           let log = D.Redo_log.create ~batch_delay ~path () in
-          let base = S.P_lazy_hashmap.ops (S.P_lazy_hashmap.make ()) in
-          let enter = W.Runner.barrier workers in
-          let before = Stats.read () in
-          let t0 = ref 0.0 and t1 = ref 0.0 in
-          let ds =
-            List.init workers (fun d ->
-                Domain.spawn (fun () ->
-                    let m =
-                      D.Durable_map.ops (D.Durable_map.wrap ~fmt:D.Frame.Intent ~log base)
-                    in
-                    enter ();
-                    if d = 0 then t0 := Clock.now_mono ();
-                    for i = 1 to per do
-                      Stm.atomically (fun txn ->
-                          ignore (m.S.Trait.Map.put txn ((d * per) + i) i))
-                    done;
-                    if d = 0 then t1 := Clock.now_mono ()))
+          let m =
+            D.Durable_map.ops
+              (D.Durable_map.wrap ~fmt:D.Frame.Intent ~log
+                 (S.P_lazy_hashmap.ops (S.P_lazy_hashmap.make ())))
           in
-          List.iter Domain.join ds;
+          let before = Stats.read () in
+          (* The window spans every worker: commits/s divides all
+             domains' commits, so it must not end when the first
+             domain finishes. *)
+          let dt_ms =
+            1000.0
+            *. W.Runner.timed ~threads:workers (fun d ->
+                   for i = 1 to per do
+                     Stm.atomically (fun txn ->
+                         ignore (m.S.Trait.Map.put txn ((d * per) + i) i))
+                   done)
+          in
           D.Redo_log.close log;
           let st = Stats.diff before (Stats.read ()) in
-          let dt_ms = (!t1 -. !t0) *. 1000.0 in
           let total = workers * per in
           let per_s = float_of_int total /. dt_ms *. 1000.0 in
           let name = Printf.sprintf "linger=%gus" (batch_delay *. 1e6) in
           Printf.printf "%-14s %4d %10.2f %12.0f %8d %8d %8d\n%!" name workers
             dt_ms per_s st.Stats.fsync_batches st.Stats.fsync_batch_size_p50
             st.Stats.fsync_batch_size_p99;
-          if json_file <> None then
-            cells :=
-              Obs.Json.Obj
-                [
-                  ("kind", Obs.Json.String "durable-fsync");
-                  ("batch_delay_s", Obs.Json.Float batch_delay);
-                  ("threads", Obs.Json.Int workers);
-                  ("commits", Obs.Json.Int total);
-                  ("mean_ms", Obs.Json.Float dt_ms);
-                  ("commits_per_s", Obs.Json.Float per_s);
-                  ( "stats",
-                    Obs.Json.Obj
-                      (List.map
-                         (fun (k, v) -> (k, Obs.Json.Int v))
-                         (Stats.to_assoc st)) );
-                ]
-              :: !cells))
+          emit
+            (Obs.Json.Obj
+               [
+                 ("kind", Obs.Json.String "durable-fsync");
+                 ("batch_delay_s", Obs.Json.Float batch_delay);
+                 ("threads", Obs.Json.Int workers);
+                 ("commits", Obs.Json.Int total);
+                 ("mean_ms", Obs.Json.Float dt_ms);
+                 ("commits_per_s", Obs.Json.Float per_s);
+                 ("stats", W.Report.stats_json (Stats.to_assoc st));
+               ])))
     (if quick then [ 0.; 0.001 ] else [ 0.; 0.0002; 0.001; 0.005 ])
 
 (* ------------------------------------------------------------------ *)
@@ -990,63 +961,53 @@ let parking () =
     Stm.set_retry_mode mode;
     let ch = Y.Channel.make ~capacity:8 () in
     let received = Atomic.make 0 in
-    let enter = W.Runner.barrier (consumers + 1) in
     let before = Stats.read () in
-    let t0 = ref 0.0 in
-    let cs =
-      List.init consumers (fun _ ->
-          Domain.spawn (fun () ->
-              enter ();
-              let rec loop () =
-                match Stm.atomically (fun txn -> Y.Channel.recv_opt txn ch) with
-                | Some _ ->
-                    Atomic.incr received;
-                    loop ()
-                | None -> ()
-              in
-              loop ()))
+    (* Domain 0 produces; the rest receive until the channel closes. *)
+    let dt_ms =
+      1000.0
+      *. W.Runner.timed ~threads:(consumers + 1) (fun i ->
+             if i = 0 then begin
+               for n = 1 to msgs do
+                 Stm.atomically (fun txn -> Y.Channel.send txn ch n);
+                 (* Idle gaps let consumers drain the channel and block
+                    on empty: the waiting, not the throughput, is under
+                    test. *)
+                 if n mod 16 = 0 then Unix.sleepf 0.002
+               done;
+               Stm.atomically (fun txn -> Y.Channel.close txn ch)
+             end
+             else
+               let rec loop () =
+                 match
+                   Stm.atomically (fun txn -> Y.Channel.recv_opt txn ch)
+                 with
+                 | Some _ ->
+                     Atomic.incr received;
+                     loop ()
+                 | None -> ()
+               in
+               loop ())
     in
-    let p =
-      Domain.spawn (fun () ->
-          enter ();
-          t0 := Clock.now_mono ();
-          for i = 1 to msgs do
-            Stm.atomically (fun txn -> Y.Channel.send txn ch i);
-            (* Idle gaps let consumers drain the channel and block on
-               empty: the waiting, not the throughput, is under test. *)
-            if i mod 16 = 0 then Unix.sleepf 0.002
-          done;
-          Stm.atomically (fun txn -> Y.Channel.close txn ch))
-    in
-    Domain.join p;
-    List.iter Domain.join cs;
-    let dt_ms = (Clock.now_mono () -. !t0) *. 1000.0 in
     let st = Stats.diff before (Stats.read ()) in
     Printf.printf "%-6s %8d %10.2f %8d %8d %9d %12d %9d\n%!" name
       (Atomic.get received) dt_ms st.Stats.parks st.Stats.wakeups
       st.Stats.spurious_wakeups st.Stats.retry_polls st.Stats.wait_list_max;
-    if json_file <> None then
-      cells :=
-        Obs.Json.Obj
-          [
-            ("kind", Obs.Json.String "parking");
-            ("retry_mode", Obs.Json.String name);
-            ("threads", Obs.Json.Int consumers);
-            ("msgs", Obs.Json.Int msgs);
-            ("received", Obs.Json.Int (Atomic.get received));
-            ("mean_ms", Obs.Json.Float dt_ms);
-            ("parks", Obs.Json.Int st.Stats.parks);
-            ("wakeups", Obs.Json.Int st.Stats.wakeups);
-            ("spurious_wakeups", Obs.Json.Int st.Stats.spurious_wakeups);
-            ("retry_polls", Obs.Json.Int st.Stats.retry_polls);
-            ("wait_list_max", Obs.Json.Int st.Stats.wait_list_max);
-            ( "stats",
-              Obs.Json.Obj
-                (List.map
-                   (fun (k, v) -> (k, Obs.Json.Int v))
-                   (Stats.to_assoc st)) );
-          ]
-        :: !cells
+    emit
+      (Obs.Json.Obj
+         [
+           ("kind", Obs.Json.String "parking");
+           ("retry_mode", Obs.Json.String name);
+           ("threads", Obs.Json.Int consumers);
+           ("msgs", Obs.Json.Int msgs);
+           ("received", Obs.Json.Int (Atomic.get received));
+           ("mean_ms", Obs.Json.Float dt_ms);
+           ("parks", Obs.Json.Int st.Stats.parks);
+           ("wakeups", Obs.Json.Int st.Stats.wakeups);
+           ("spurious_wakeups", Obs.Json.Int st.Stats.spurious_wakeups);
+           ("retry_polls", Obs.Json.Int st.Stats.retry_polls);
+           ("wait_list_max", Obs.Json.Int st.Stats.wait_list_max);
+           ("stats", W.Report.stats_json (Stats.to_assoc st));
+         ])
   in
   Fun.protect
     ~finally:(fun () -> Stm.set_retry_mode Stm.Park)
@@ -1072,11 +1033,7 @@ let combining () =
   let iters = if quick then 200 else env_int "PROUST_COMBINE_ITERS" 500 in
   let pairs = if quick then 3 else env_int "PROUST_COMBINE_TRIALS" 5 in
   let linger = 1.5e-3 in
-  let fsync_delay =
-    match Sys.getenv_opt "PROUST_FSYNC_DELAY" with
-    | Some s -> (match float_of_string_opt s with Some f -> f | None -> 0.)
-    | None -> 0.
-  in
+  let fsync_delay = env_float "PROUST_FSYNC_DELAY" 0. in
   W.Report.section
     (Printf.sprintf
        "COMBINING: grouped vs inline publication (%d domains x %d durable \
@@ -1095,19 +1052,15 @@ let combining () =
           { (Stm.get_default_config ()) with Stm.mode = Stm.Serial_commit }
         in
         let before = Stats.read () in
-        let t0 = Clock.now_mono () in
-        let ds =
-          List.init domains (fun d ->
-              Domain.spawn (fun () ->
-                  let rng = Random.State.make [| 11; d |] in
-                  for _ = 1 to iters do
-                    Stm.atomically ~config:cfg (fun txn ->
-                        let k = (d * 1000) + Random.State.int rng 64 in
-                        ignore (m.S.Trait.Map.put txn k d))
-                  done))
+        let dt =
+          W.Runner.timed ~threads:domains (fun d ->
+              let rng = Random.State.make [| 11; d |] in
+              for _ = 1 to iters do
+                Stm.atomically ~config:cfg (fun txn ->
+                    let k = (d * 1000) + Random.State.int rng 64 in
+                    ignore (m.S.Trait.Map.put txn k d))
+              done)
         in
-        List.iter Domain.join ds;
-        let dt = Clock.now_mono () -. t0 in
         let st = Stats.diff before (Stats.read ()) in
         D.Redo_log.close log;
         let commits = domains * iters in
@@ -1124,7 +1077,7 @@ let combining () =
     "grouped/s" "ratio" "batch" "acq_in" "acq_gr";
   Printf.printf "%s\n" (String.make 66 '-');
   let saved_combining = Stm.combining () in
-  let ratios = ref [] and batches = ref [] in
+  let ratios = ref [] in
   let ti_all = ref [] and tg_all = ref [] in
   let acq_in = ref 0 and acq_gr = ref 0 in
   let elections = ref 0 and combined = ref 0 in
@@ -1143,7 +1096,6 @@ let combining () =
             /. float_of_int stg.Stats.combiner_elections
         in
         ratios := (tg /. ti) :: !ratios;
-        batches := batch :: !batches;
         ti_all := ti :: !ti_all;
         tg_all := tg :: !tg_all;
         acq_in := !acq_in + ai;
@@ -1152,25 +1104,19 @@ let combining () =
         combined := !combined + stg.Stats.combined_commits;
         Printf.printf "%-6d %12.0f %12.0f %7.2f %7.2f %8d %8d\n%!" trial ti tg
           (tg /. ti) batch ai ag;
-        if json_file <> None then
-          cells :=
-            Obs.Json.Obj
-              [
-                ("kind", Obs.Json.String "combining-trial");
-                ("trial", Obs.Json.Int trial);
-                ("threads", Obs.Json.Int domains);
-                ("txns", Obs.Json.Int (domains * iters));
-                ("inline_commits_per_s", Obs.Json.Float ti);
-                ("grouped_commits_per_s", Obs.Json.Float tg);
-                ("throughput_ratio", Obs.Json.Float (tg /. ti));
-                ("mean_batch", Obs.Json.Float batch);
-                ( "stats",
-                  Obs.Json.Obj
-                    (List.map
-                       (fun (k, v) -> (k, Obs.Json.Int v))
-                       (Stats.to_assoc stg)) );
-              ]
-            :: !cells
+        emit
+          (Obs.Json.Obj
+             [
+               ("kind", Obs.Json.String "combining-trial");
+               ("trial", Obs.Json.Int trial);
+               ("threads", Obs.Json.Int domains);
+               ("txns", Obs.Json.Int (domains * iters));
+               ("inline_commits_per_s", Obs.Json.Float ti);
+               ("grouped_commits_per_s", Obs.Json.Float tg);
+               ("throughput_ratio", Obs.Json.Float (tg /. ti));
+               ("mean_batch", Obs.Json.Float batch);
+               ("stats", W.Report.stats_json (Stats.to_assoc stg));
+             ])
       done);
   let commits_total = pairs * domains * iters in
   let mean_batch =
@@ -1185,34 +1131,29 @@ let combining () =
     "median: ratio=%.2f batch=%.2f | gate acquisitions/commit: inline=1.00 \
      grouped=%.3f (%.1fx fewer)\n%!"
     (median !ratios) mean_batch acq_per_commit_grouped economy;
-  if json_file <> None then
-    cells :=
-      Obs.Json.Obj
-        [
-          ("kind", Obs.Json.String "combining");
-          ("threads", Obs.Json.Int domains);
-          ("txns_per_trial", Obs.Json.Int (domains * iters));
-          ("pairs", Obs.Json.Int pairs);
-          ("fsync_delay_s", Obs.Json.Float fsync_delay);
-          ("linger_s", Obs.Json.Float linger);
-          ("inline_commits_per_s", Obs.Json.Float (median !ti_all));
-          ("grouped_commits_per_s", Obs.Json.Float (median !tg_all));
-          ("throughput_ratio", Obs.Json.Float (median !ratios));
-          ("mean_batch", Obs.Json.Float mean_batch);
-          ("gate_acq_per_commit_inline", Obs.Json.Float 1.0);
-          ("gate_acq_per_commit_grouped", Obs.Json.Float acq_per_commit_grouped);
-          ("gate_economy", Obs.Json.Float economy);
-        ]
-      :: !cells
+  emit
+    (Obs.Json.Obj
+       [
+         ("kind", Obs.Json.String "combining");
+         ("threads", Obs.Json.Int domains);
+         ("txns_per_trial", Obs.Json.Int (domains * iters));
+         ("pairs", Obs.Json.Int pairs);
+         ("fsync_delay_s", Obs.Json.Float fsync_delay);
+         ("linger_s", Obs.Json.Float linger);
+         ("inline_commits_per_s", Obs.Json.Float (median !ti_all));
+         ("grouped_commits_per_s", Obs.Json.Float (median !tg_all));
+         ("throughput_ratio", Obs.Json.Float (median !ratios));
+         ("mean_batch", Obs.Json.Float mean_batch);
+         ("gate_acq_per_commit_inline", Obs.Json.Float 1.0);
+         ("gate_acq_per_commit_grouped", Obs.Json.Float acq_per_commit_grouped);
+         ("gate_economy", Obs.Json.Float economy);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Open-system overload: Poisson/bursty tenants issuing at fixed
    intended arrival times (coordinated-omission-correct latency),
    per-tenant QoS classes, brownout on/off A/B per structure, and the
    gold-isolation gate the CI opensystem-smoke job enforces. *)
-
-let env_float name default =
-  match Sys.getenv_opt name with Some s -> float_of_string s | None -> default
 
 (* Set when PROUST_OS_GATE=1 and the isolation gate fails; main exits
    nonzero after the JSON report is written. *)
@@ -1425,22 +1366,20 @@ let opensystem () =
                 | None -> "-");
               if name = gate_entry then
                 gate_cells := (brownout_on, r) :: !gate_cells;
-              if json_file <> None then
-                cells :=
-                  Obs.Json.Obj
-                    [
-                      ("kind", Obs.Json.String "opensystem");
-                      ("entry", Obs.Json.String name);
-                      ("stm_mode", Obs.Json.String (Stm.mode_name config.Stm.mode));
-                      ("brownout", Obs.Json.Bool brownout_on);
-                      ("capacity_tps", Obs.Json.Float capacity);
-                      ( "utilization",
-                        Obs.Json.Float (r.W.Open_runner.o_offered /. capacity)
-                      );
-                      ("gold_p999_intended_ns", Obs.Json.Int gp999);
-                      ("report", W.Open_runner.to_json r);
-                    ]
-                  :: !cells)
+              emit
+                (Obs.Json.Obj
+                   [
+                     ("kind", Obs.Json.String "opensystem");
+                     ("entry", Obs.Json.String name);
+                     ("stm_mode", Obs.Json.String (Stm.mode_name config.Stm.mode));
+                     ("brownout", Obs.Json.Bool brownout_on);
+                     ("capacity_tps", Obs.Json.Float capacity);
+                     ( "utilization",
+                       Obs.Json.Float (r.W.Open_runner.o_offered /. capacity)
+                     );
+                     ("gold_p999_intended_ns", Obs.Json.Int gp999);
+                     ("report", W.Open_runner.to_json r);
+                   ]))
             [ true; false ])
     entry_names;
   (* The isolation gate: with brownout on, gold p999 stays under the
@@ -1468,22 +1407,20 @@ let opensystem () =
         off_sheds
         (float_of_int bound_ns /. 1e6)
         (if pass then "PASS" else "FAIL");
-      if json_file <> None then
-        cells :=
-          Obs.Json.Obj
-            [
-              ("kind", Obs.Json.String "opensystem-gate");
-              ("entry", Obs.Json.String gate_entry);
-              ("bound_ns", Obs.Json.Int bound_ns);
-              ("gold_p999_on_ns", Obs.Json.Int on_p999);
-              ("gold_p999_off_ns", Obs.Json.Int off_p999);
-              ("gold_sheds_on", Obs.Json.Int on_sheds);
-              ("gold_sheds_off", Obs.Json.Int off_sheds);
-              ("brownout_on_ok", Obs.Json.Bool on_ok);
-              ("brownout_off_violates", Obs.Json.Bool off_violates);
-              ("pass", Obs.Json.Bool pass);
-            ]
-          :: !cells;
+      emit
+        (Obs.Json.Obj
+           [
+             ("kind", Obs.Json.String "opensystem-gate");
+             ("entry", Obs.Json.String gate_entry);
+             ("bound_ns", Obs.Json.Int bound_ns);
+             ("gold_p999_on_ns", Obs.Json.Int on_p999);
+             ("gold_p999_off_ns", Obs.Json.Int off_p999);
+             ("gold_sheds_on", Obs.Json.Int on_sheds);
+             ("gold_sheds_off", Obs.Json.Int off_sheds);
+             ("brownout_on_ok", Obs.Json.Bool on_ok);
+             ("brownout_off_violates", Obs.Json.Bool off_violates);
+             ("pass", Obs.Json.Bool pass);
+           ]);
       if (not pass) && Sys.getenv_opt "PROUST_OS_GATE" = Some "1" then
         gate_failed := true
   | _ ->
@@ -1491,75 +1428,102 @@ let opensystem () =
         gate_entry)
 
 (* ------------------------------------------------------------------ *)
+(* SWEEP: arbitrary points of the design space.                        *)
+
+(* Each --impl registry entry at one (u, o) point, across
+   PROUST_THREADS, under the PROUST_MODE default; an entry whose trait
+   header needs encounter-time detection runs eager-lazy, as the
+   registry derives (Figure 1). *)
+let sweep () =
+  let in_range lo hi conv s =
+    Option.bind (conv s) (fun v -> if v >= lo && v <= hi then Some v else None)
+  in
+  let u =
+    knob ~expected:"a number in [0, 1]" (in_range 0.0 1.0 float_of_string_opt)
+      flag "-u" 0.5
+  in
+  let o =
+    knob ~expected:"a positive integer" (in_range 1 max_int int_of_string_opt)
+      flag "-o" 16
+  in
+  let entries =
+    Option.value (flag "--impl") ~default:"lazy-memo"
+    |> String.split_on_char ','
+    |> List.map (fun name ->
+           match W.Registry.find name with
+           | Some e -> e
+           | None ->
+               die "--impl: unknown entry %S (known: %s)" name
+                 (String.concat ", " (W.Registry.names ())))
+  in
+  W.Report.section
+    (Printf.sprintf "SWEEP: u=%.2f o=%d, %d ops per cell" u o total_ops);
+  W.Report.header ();
+  List.iter
+    (fun e -> List.iter (fun threads -> run_cell e ~u ~o ~threads) threads_list)
+    entries
+
+(* ------------------------------------------------------------------ *)
+
+(* (name, run, in_all): dispatch, `all` (in this order) and usage all
+   read this table. *)
+let commands =
+  [
+    ("fig1", fig1, true);
+    ("micro", micro, true);
+    ("fig4", fig4, true);
+    ("fig4-memo", fig4_memo, true);
+    ("ablation-m", ablation_m, true);
+    ("ablation-cm", ablation_cm, true);
+    ("ablation-mode", ablation_mode, true);
+    ("ablation-zipf", ablation_zipf, true);
+    ("ablation-combine", ablation_combine, true);
+    ("mvcc", mvcc_bench, true);
+    ("pqueue", pqueue_bench, true);
+    ("queue", queue_bench, true);
+    ("structures", structures_bench, true);
+    ("compose", compose_bench, true);
+    ("overload", overload, true);
+    ("opensystem", opensystem, true);
+    ("durability", durability, true);
+    ("parking", parking, true);
+    ("combining", combining, true);
+    ("obs-overhead", obs_overhead, false);
+    ("sweep", sweep, false);
+  ]
 
 let usage () =
-  print_endline
-    "usage: main.exe \
-     [fig1|fig4|fig4-memo|micro|ablation-m|ablation-cm|ablation-mode|\
-     ablation-zipf|ablation-combine|mvcc|pqueue|queue|structures|compose|\
-     overload|opensystem|durability|parking|combining|obs-overhead|all] \
-     [--json FILE] [--trace FILE]"
+  Printf.eprintf
+    "usage: main.exe [%s|all] [--json FILE] [--trace FILE]\n\
+    \       main.exe sweep --impl a,b [-u U] [-o O] [--json FILE] [--trace \
+     FILE]\n"
+    (String.concat "|" (List.map (fun (name, _, _) -> name) commands))
 
 let () =
-  (* First non-flag argument is the command; --json/--trace (and their
-     values) are consumed by [flag_val]. *)
-  let cmd =
-    let rec go = function
-      | ("--json" | "--trace") :: _ :: rest -> go rest
-      | c :: _ -> c
-      | [] -> "all"
-    in
-    go (List.tl (Array.to_list Sys.argv))
+  if
+    command <> "sweep"
+    && List.exists (fun f -> List.mem_assoc f flags) [ "--impl"; "-u"; "-o" ]
+  then die "--impl, -u and -o apply to sweep only";
+  let run =
+    match command with
+    | "all" ->
+        fun () ->
+          List.iter (fun (_, run, in_all) -> if in_all then run ()) commands
+    | name -> (
+        match List.find_opt (fun (n, _, _) -> n = name) commands with
+        | Some (_, run, _) -> run
+        | None ->
+            usage ();
+            exit 2)
   in
   if json_file <> None then Obs.Metrics.enable ();
   if trace_file <> None then Obs.Trace.enable ();
-  (match cmd with
-  | "fig1" -> fig1 ()
-  | "fig4" -> fig4 ()
-  | "fig4-memo" -> fig4_memo ()
-  | "micro" -> micro ()
-  | "ablation-m" -> ablation_m ()
-  | "ablation-cm" -> ablation_cm ()
-  | "ablation-mode" -> ablation_mode ()
-  | "ablation-zipf" -> ablation_zipf ()
-  | "ablation-combine" -> ablation_combine ()
-  | "mvcc" -> mvcc_bench ()
-  | "pqueue" -> pqueue_bench ()
-  | "queue" -> queue_bench ()
-  | "structures" -> structures_bench ()
-  | "compose" -> compose_bench ()
-  | "overload" -> overload ()
-  | "opensystem" -> opensystem ()
-  | "durability" -> durability ()
-  | "parking" -> parking ()
-  | "combining" -> combining ()
-  | "obs-overhead" -> obs_overhead ()
-  | "all" ->
-      fig1 ();
-      micro ();
-      fig4 ();
-      fig4_memo ();
-      ablation_m ();
-      ablation_cm ();
-      ablation_mode ();
-      ablation_zipf ();
-      ablation_combine ();
-      mvcc_bench ();
-      pqueue_bench ();
-      queue_bench ();
-      structures_bench ();
-      compose_bench ();
-      overload ();
-      opensystem ();
-      durability ();
-      parking ();
-      combining ()
-  | _ -> usage ());
+  run ();
   Option.iter
     (fun file ->
       let config =
         [
-          ("command", Obs.Json.String cmd);
+          ("command", Obs.Json.String command);
           ("total_ops", Obs.Json.Int total_ops);
           ( "threads",
             Obs.Json.List (List.map (fun t -> Obs.Json.Int t) threads_list) );

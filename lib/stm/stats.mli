@@ -147,7 +147,7 @@ val reset : unit -> unit
 val diff : snapshot -> snapshot -> snapshot
 
 (** Field-name/value pairs in declaration order — the single source of
-    truth for CSV columns and JSON report keys. *)
+    truth for JSON report keys. *)
 val to_assoc : snapshot -> (string * int) list
 
 val pp : Format.formatter -> snapshot -> unit

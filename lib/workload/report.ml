@@ -3,10 +3,9 @@
     series (time in ms to process the operation stream, per
     implementation and thread count).
 
-    The machine-readable shapes — CSV columns and the
-    ["proust-bench/v1"] JSON report — derive their STM-counter fields
-    from {!Stats.to_assoc}, so a new counter shows up in every output
-    format without touching this module. *)
+    The ["proust-bench/v1"] JSON report derives its STM-counter fields
+    from {!Stats.to_assoc}, so a new counter shows up in every cell
+    without touching this module. *)
 
 module J = Proust_obs.Json
 
@@ -24,26 +23,13 @@ let row ~name (r : Runner.result) =
     r.Runner.stats.Stats.aborts r.Runner.stats.Stats.fallbacks
     r.Runner.stats.Stats.shed r.Runner.stats.Stats.timeouts
 
-let stat_keys () = List.map fst (Stats.to_assoc (Stats.read ()))
-
-let csv_header oc =
-  output_string oc "impl,u,o,threads,mean_ms,stddev_ms,ops_per_s";
-  List.iter (fun k -> Printf.fprintf oc ",%s" k) (stat_keys ());
-  output_char oc '\n'
-
-let csv_row oc ~name (r : Runner.result) =
-  Printf.fprintf oc "%s,%.2f,%d,%d,%.3f,%.3f,%.0f" name
-    r.Runner.spec.Workload.write_fraction r.Runner.spec.Workload.ops_per_txn
-    r.Runner.threads r.Runner.mean_ms r.Runner.stddev_ms r.Runner.throughput;
-  List.iter
-    (fun (_, v) -> Printf.fprintf oc ",%d" v)
-    (Stats.to_assoc r.Runner.stats);
-  output_char oc '\n'
-
 let section title = Printf.printf "\n=== %s ===\n%!" title
 
 (* ------------------------------------------------------------------ *)
 (* JSON report: the BENCH_*.json format.                               *)
+
+let stats_json counters =
+  J.Obj (List.map (fun (k, v) -> (k, J.Int v)) counters)
 
 let json_cell ~name (r : Runner.result) =
   J.Obj
@@ -65,10 +51,7 @@ let json_cell ~name (r : Runner.result) =
           J.Float
             (float_of_int r.Runner.stats.Stats.minor_words
             /. float_of_int r.Runner.stats.Stats.commits) );
-      ( "stats",
-        J.Obj
-          (List.map (fun (k, v) -> (k, J.Int v)) (Stats.to_assoc r.Runner.stats))
-      );
+      ("stats", stats_json (Stats.to_assoc r.Runner.stats));
       ( "latency_ns",
         match r.Runner.latency with
         | Some s -> Proust_obs.Metrics.scope_summary_to_json s

@@ -1,13 +1,15 @@
 (** Table/series/JSON rendering for benchmark output, in the shape of
-    the paper's Figure 4 series.  CSV columns and the
-    ["proust-bench/v1"] JSON report derive their STM-counter fields
-    from {!Stats.to_assoc}. *)
+    the paper's Figure 4 series.  The ["proust-bench/v1"] JSON report
+    derives its STM-counter fields from {!Stats.to_assoc}. *)
 
 val header : unit -> unit
 val row : name:string -> Runner.result -> unit
-val csv_header : out_channel -> unit
-val csv_row : out_channel -> name:string -> Runner.result -> unit
 val section : string -> unit
+
+(** A {!Stats} diff's {!Stats.to_assoc} pairs (one window's, or
+    several windows' combined) as the JSON object every cell carries
+    under ["stats"]. *)
+val stats_json : (string * int) list -> Proust_obs.Json.t
 
 (** One measured cell as a JSON object: run shape ([impl], [u], [o],
     [threads], …), timings, the {!Stats.to_assoc} counter diff, and the

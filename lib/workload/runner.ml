@@ -1,10 +1,11 @@
 (** Multi-domain throughput runner for the Figure 4 experiment.
 
     Each trial prefills the structure, splits the operation stream
-    across [threads] domains, releases them through a spin barrier,
-    and times the window from release to last join.  Trials are
-    separated by a major GC ("garbage collecting in between to reduce
-    jitter", §7); the first [warmup] trials are discarded.
+    across [threads] domains and runs them under {!timed}: released
+    through a spin barrier, timed from the first worker's start to the
+    last worker's finish.  Trials are separated by a major GC
+    ("garbage collecting in between to reduce jitter", §7); the first
+    [warmup] trials are discarded.
 
     The core loop is generic over the operation type, so the same
     trial machinery drives maps, FIFO queues and priority queues;
@@ -35,23 +36,17 @@ let barrier n =
       Domain.cpu_relax ()
     done
 
-(* One trial, generic over the structure ('ops) and operation ('op)
-   types.  [streams i] yields domain [i]'s pre-generated operations. *)
-let run_trial (type ops op) ?config ?label ~threads ~(spec : Workload.spec)
-    ~(prefill : Stm.config option -> ops -> unit) ~(streams : int -> op array)
-    ~(apply : ops -> Stm.txn -> op -> unit) (make_ops : unit -> ops) =
-  let ops = make_ops () in
-  prefill config ops;
-  let streams = Array.init threads streams in
+(* The closed-loop primitive every multi-domain measurement runs on.
+   Workers time themselves: first-start to last-finish, on the
+   monotonic clock (a wall-clock step mid-run would corrupt the
+   window).  Timing from the spawning thread under-measures when there
+   are fewer cores than domains (the workers can finish before the
+   spawner runs again). *)
+let timed ?label ~threads body =
   let enter = barrier threads in
-  (* Workers time themselves: first-start to last-finish, on the
-     monotonic clock (a wall-clock step mid-trial would corrupt the
-     window).  Timing from the spawning thread under-measures when
-     there are fewer cores than domains (the workers can finish before
-     the spawner runs again). *)
   let started = Array.make threads 0.0 in
   let finished = Array.make threads 0.0 in
-  let body i () =
+  let worker i () =
     Option.iter Proust_obs.Metrics.set_label label;
     enter ();
     started.(i) <- Clock.now_mono ();
@@ -60,26 +55,37 @@ let run_trial (type ops op) ?config ?label ~threads ~(spec : Workload.spec)
        divisible by committed transactions for a words-per-commit
        figure. *)
     let words0 = Gc.minor_words () in
-    let stream = streams.(i) in
-    let n = Array.length stream in
-    let o = spec.ops_per_txn in
-    let idx = ref 0 in
-    while !idx < n do
-      let stop = min n (!idx + o) in
-      let start = !idx in
-      Stm.atomically ?config (fun txn ->
-          for j = start to stop - 1 do
-            apply ops txn stream.(j)
-          done);
-      idx := stop
-    done;
+    body i;
     Stats.add_minor_words (int_of_float (Gc.minor_words () -. words0));
     finished.(i) <- Clock.now_mono ()
   in
-  let domains = List.init threads (fun i -> Domain.spawn (body i)) in
-  List.iter Domain.join domains;
+  List.init threads (fun i -> Domain.spawn (worker i))
+  |> List.iter Domain.join;
   Array.fold_left max neg_infinity finished
   -. Array.fold_left min infinity started
+
+(* One trial, generic over the structure ('ops) and operation ('op)
+   types.  [streams i] yields domain [i]'s pre-generated operations. *)
+let run_trial (type ops op) ?config ?label ~threads ~(spec : Workload.spec)
+    ~(prefill : Stm.config option -> ops -> unit) ~(streams : int -> op array)
+    ~(apply : ops -> Stm.txn -> op -> unit) (make_ops : unit -> ops) =
+  let ops = make_ops () in
+  prefill config ops;
+  let streams = Array.init threads streams in
+  let o = spec.ops_per_txn in
+  timed ?label ~threads (fun i ->
+      let stream = streams.(i) in
+      let n = Array.length stream in
+      let idx = ref 0 in
+      while !idx < n do
+        let stop = min n (!idx + o) in
+        let start = !idx in
+        Stm.atomically ?config (fun txn ->
+            for j = start to stop - 1 do
+              apply ops txn stream.(j)
+            done);
+        idx := stop
+      done)
 
 let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
 

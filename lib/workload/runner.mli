@@ -1,6 +1,6 @@
 (** Multi-domain throughput runner for the Figure 4 experiment: each
-    trial prefills the structure, splits the stream across domains
-    released through a spin barrier, and measures first-start to
+    trial prefills the structure, splits the stream across domains and
+    runs them under {!timed}, which measures first-start to
     last-finish inside the workers (timing from the spawner
     under-measures when domains outnumber cores).  Trials are
     separated by a major GC; warmup trials are discarded.
@@ -24,9 +24,14 @@ type result = {
           unless a [label] was given and metrics were enabled *)
 }
 
-(** [barrier n] returns an [enter] function that blocks until [n]
-    participants arrived. *)
-val barrier : int -> unit -> unit
+(** [timed ?label ~threads body] spawns [threads] domains that meet at
+    one spin barrier, then runs [body i] on domain [i]; it returns the
+    window in seconds from the first worker's start to the last
+    worker's finish, timed inside the workers.  Each worker adds its
+    [Gc.minor_words] delta to {!Stats} and, given a [label], enters
+    that {!Proust_obs.Metrics} scope.  Every fixed-work closed-loop
+    bench measurement runs on this. *)
+val timed : ?label:string -> threads:int -> (int -> unit) -> float
 
 (** [run ?config ?chaos ~threads ~spec make_ops] — [make_ops] builds a
     fresh map per trial so trials are independent.  [chaos] arms

@@ -79,19 +79,29 @@ let test_report_renders () =
   in
   (* smoke: the printers do not raise *)
   W.Report.header ();
-  W.Report.row ~name:"test" r;
-  let tmp = Filename.temp_file "proust" ".csv" in
-  let oc = open_out tmp in
-  W.Report.csv_header oc;
-  W.Report.csv_row oc ~name:"test" r;
-  close_out oc;
-  let ic = open_in tmp in
-  let header = input_line ic in
-  let row = input_line ic in
-  close_in ic;
-  Sys.remove tmp;
-  check cb "csv header" true (String.length header > 0);
-  check cb "csv row mentions impl" true (String.length row > 4)
+  W.Report.row ~name:"test" r
+
+(* The closed-loop primitive: every index runs exactly once, the
+   window covers the slowest body, and each worker's allocation lands
+   in [Stats]. *)
+let test_timed () =
+  let threads = 3 in
+  let runs = Array.init threads (fun _ -> Atomic.make 0) in
+  let before = Stats.read () in
+  let dt =
+    W.Runner.timed ~threads (fun i ->
+        Atomic.incr runs.(i);
+        ignore (Sys.opaque_identity (List.init 100 Fun.id));
+        Unix.sleepf (0.01 *. float_of_int (i + 1)))
+  in
+  Array.iteri
+    (fun i c -> check ci (Printf.sprintf "body %d ran once" i) 1 (Atomic.get c))
+    runs;
+  check cb
+    (Printf.sprintf "window %.4fs covers the longest sleep" dt)
+    true (dt >= 0.03);
+  let st = Stats.diff before (Stats.read ()) in
+  check cb "minor words recorded" true (st.Stats.minor_words > 0)
 
 let suite =
   [
@@ -102,4 +112,5 @@ let suite =
     test "txn count" test_txn_count;
     slow "runner end to end" test_runner_end_to_end;
     slow "report renders" test_report_renders;
+    test "timed runs each index once" test_timed;
   ]

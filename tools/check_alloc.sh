@@ -17,8 +17,8 @@ cd "$(dirname "$0")/.."
 BASELINE=tools/alloc_baseline.json
 OUT="${ALLOC_SMOKE_OUT:-/tmp/alloc_smoke.json}"
 
-dune exec bin/proust_bench.exe -- \
-  --impl stm-map -t 1 -u 0.1 -o 16 --ops 30000 --trials 3 \
+PROUST_MODE=lazy-lazy PROUST_THREADS=1 PROUST_OPS=30000 PROUST_TRIALS=3 \
+  dune exec bench/main.exe -- sweep --impl stm-map -u 0.1 -o 16 \
   --json "$OUT" >/dev/null
 
 if [ "${1:-}" = "--update" ]; then
