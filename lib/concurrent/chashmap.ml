@@ -20,13 +20,24 @@ let create ?(stripes = 32) ?(hash = Hashtbl.hash) () =
 
 let stripe_of t k = t.stripes.(t.hash k land t.mask)
 
-let with_stripe t k f =
-  let s = stripe_of t k in
+(* Runs [f tbl x] under the stripe's lock and unlocks on a raise too.
+   An inline handler, not [Fun.protect], which allocates closures and a
+   handler on every base operation.  [x] lets [get] and [contains] pass
+   a [Hashtbl] function with no closure. *)
+let locked s f x =
   Mutex.lock s.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock s.m) (fun () -> f s.tbl)
+  match f s.tbl x with
+  | v ->
+      Mutex.unlock s.m;
+      v
+  | exception e ->
+      Mutex.unlock s.m;
+      raise e
 
-let get t k = with_stripe t k (fun tbl -> Hashtbl.find_opt tbl k)
-let contains t k = with_stripe t k (fun tbl -> Hashtbl.mem tbl k)
+let locked_tbl s f = locked s (fun tbl f -> f tbl) f
+let with_stripe t k f = locked_tbl (stripe_of t k) f
+let get t k = locked (stripe_of t k) Hashtbl.find_opt k
+let contains t k = locked (stripe_of t k) Hashtbl.mem k
 
 let put t k v =
   with_stripe t k (fun tbl ->
@@ -71,13 +82,7 @@ let size t = Striped_counter.get t.count
 let is_empty t = size t = 0
 
 let iter f t =
-  Array.iter
-    (fun s ->
-      Mutex.lock s.m;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock s.m)
-        (fun () -> Hashtbl.iter f s.tbl))
-    t.stripes
+  Array.iter (fun s -> locked_tbl s (Hashtbl.iter f)) t.stripes
 
 let fold f t init =
   let acc = ref init in
@@ -87,12 +92,9 @@ let fold f t init =
 let clear t =
   Array.iter
     (fun s ->
-      Mutex.lock s.m;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock s.m)
-        (fun () ->
-          Striped_counter.add t.count (-Hashtbl.length s.tbl);
-          Hashtbl.reset s.tbl))
+      locked_tbl s (fun tbl ->
+          Striped_counter.add t.count (-Hashtbl.length tbl);
+          Hashtbl.reset tbl))
     t.stripes
 
 let bindings t = fold (fun k v acc -> (k, v) :: acc) t []

@@ -40,16 +40,23 @@ let group_accesses ~width ~base ~stripe intent =
   else List.init width (fun i -> { slot = base + i; write = false })
 
 let accesses_for t ~stripe intents =
-  let strongest = Hashtbl.create 8 in
-  List.iter
-    (fun intent ->
-      List.iter
-        (fun a ->
-          match Hashtbl.find_opt strongest a.slot with
-          | Some true -> ()
-          | Some false -> if a.write then Hashtbl.replace strongest a.slot true
-          | None -> Hashtbl.replace strongest a.slot a.write)
-        (t.accesses ~stripe intent))
-    intents;
-  Hashtbl.fold (fun slot write acc -> { slot; write } :: acc) strongest []
-  |> List.sort (fun a b -> compare a.slot b.slot)
+  let dedupe accesses =
+    let strongest = Hashtbl.create 8 in
+    List.iter
+      (List.iter (fun a ->
+           match Hashtbl.find_opt strongest a.slot with
+           | Some true -> ()
+           | Some false -> if a.write then Hashtbl.replace strongest a.slot true
+           | None -> Hashtbl.replace strongest a.slot a.write))
+      accesses;
+    Hashtbl.fold (fun slot write acc -> { slot; write } :: acc) strongest []
+    |> List.sort (fun a b -> compare a.slot b.slot)
+  in
+  match intents with
+  | [ intent ] -> (
+      (* The common case — one op, one access — is already deduplicated
+         and sorted. *)
+      match t.accesses ~stripe intent with
+      | ([] | [ _ ]) as one -> one
+      | many -> dedupe [ many ])
+  | _ -> dedupe (List.map (t.accesses ~stripe) intents)

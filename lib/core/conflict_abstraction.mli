@@ -54,5 +54,8 @@ val coarse : unit -> 'k t
 val group_accesses : width:int -> base:int -> stripe:int -> 'k Intent.t -> access list
 
 (** [accesses_for t ~stripe intents] concatenates and de-duplicates
-    accesses, keeping the strongest mode per slot, in slot order. *)
+    accesses, keeping the strongest mode per slot, in slot order.  A
+    single intent whose [accesses] yields at most one access — every
+    get, put and remove under [striped], [indexed] and [coarse] — is
+    returned as it is, without the dedupe table or the sort. *)
 val accesses_for : 'k t -> stripe:int -> 'k Intent.t list -> access list

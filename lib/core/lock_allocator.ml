@@ -88,8 +88,6 @@ let pessimistic ?(timeout = 5e-3) ~ca () =
 (* -------------------------------------------------------------------- *)
 (* Optimistic: conflict-abstraction slots are STM locations.             *)
 
-let token = Atomic.make 1
-
 let optimistic ?(validate_writes = true) ~ca () =
   let region =
     Array.init ca.Conflict_abstraction.slots (fun _ -> Tvar.make 0)
@@ -102,7 +100,7 @@ let optimistic ?(validate_writes = true) ~ca () =
         let tv = region.(slot) in
         if write then begin
           if validate_writes then ignore (Stm.read txn tv);
-          Stm.write txn tv (Atomic.fetch_and_add token 1)
+          Stm.write txn tv stripe
         end
         else ignore (Stm.read txn tv))
       accesses

@@ -35,8 +35,12 @@ val pessimistic :
   ?timeout:float -> ca:'k Conflict_abstraction.t -> unit -> 'k t
 
 (** Optimistic LAP over an array of STM tvars, one per slot.  A write
-    access stores a fresh unique token (§3: "values written are unique,
-    such as sequence numbers"); a read access performs an STM read.
+    access stores the writing attempt's descriptor id; a read access
+    performs an STM read.  §3 asks that "values written are unique,
+    such as sequence numbers": every attempt gets a fresh id from
+    [Txn_desc.create], so no two writing attempts store the same value.
+    Nothing reads the value back — validation is version-based in every
+    STM mode — so the id costs no shared counter.
 
     [validate_writes] additionally performs an STM read before each
     write access, putting the slot in the read set so that commit-time

@@ -162,6 +162,39 @@ let test_chashmap_fold_clear () =
   check ci "cleared" 0 (C.Chashmap.size m);
   check cb "is_empty" true (C.Chashmap.is_empty m)
 
+(* A raise inside a stripe's critical section must release the stripe:
+   another domain's [put]/[get] on the same key then returns, and the
+   failed [compute] left [size] as it was.  A leaked lock would block
+   that domain forever, so wait on it with a deadline, not a join. *)
+let test_chashmap_raise_unlocks () =
+  let m = C.Chashmap.create () in
+  ignore (C.Chashmap.put m 1 10);
+  (match C.Chashmap.compute m 1 (fun _ -> raise Exit) with
+  | _ -> Alcotest.fail "compute should re-raise"
+  | exception Exit -> ());
+  let done_ = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        let old = C.Chashmap.put m 1 11 in
+        let now = C.Chashmap.get m 1 in
+        Atomic.set done_ true;
+        (old, now))
+  in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while (not (Atomic.get done_)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  if not (Atomic.get done_) then
+    Alcotest.fail "stripe still locked after a raise in compute";
+  let old, now = Domain.join d in
+  check copt_i "put saw the binding compute left" (Some 10) old;
+  check copt_i "get sees the put" (Some 11) now;
+  check ci "size unchanged" 1 (C.Chashmap.size m);
+  (match C.Chashmap.iter (fun _ _ -> raise Exit) m with
+  | () -> Alcotest.fail "iter should re-raise"
+  | exception Exit -> ());
+  check copt_i "iter released its stripe" (Some 11) (C.Chashmap.get m 1)
+
 let test_chashmap_concurrent () =
   let m = C.Chashmap.create () in
   spawn_all 4 (fun d ->
@@ -456,6 +489,7 @@ let suite =
     test "chashmap put_if_absent" test_chashmap_put_if_absent;
     test "chashmap compute" test_chashmap_compute;
     test "chashmap fold/clear" test_chashmap_fold_clear;
+    test "chashmap raise unlocks stripe" test_chashmap_raise_unlocks;
     slow "chashmap concurrent" test_chashmap_concurrent;
     qcheck "hamt matches Map model" hamt_ops_gen prop_hamt_model;
     qcheck "hamt well-formed" hamt_ops_gen prop_hamt_well_formed;

@@ -89,6 +89,43 @@ let test_ca_group () =
   check clist_i "band slots" [ 1; 2; 3; 4 ]
     (List.map (fun a -> a.Conflict_abstraction.slot) reads)
 
+(* [accesses_for] against a reference dedupe-strongest + sort, over
+   every constructor, including group bands whose single intent yields
+   several accesses (the case the one-intent fast path must not take):
+   case 3 is a plain band, case 4 a band listed backwards and then
+   again, so one intent's accesses arrive unsorted and duplicated. *)
+let prop_accesses_for_matches_reference (ca_case, width, stripe, intents) =
+  let module Ca = Conflict_abstraction in
+  let ca =
+    match ca_case with
+    | 0 -> Ca.striped ~slots:4 ~hash:Fun.id ()
+    | 1 -> Ca.indexed ~slots:8 ~index:(fun k -> k mod 8)
+    | 2 -> Ca.coarse ()
+    | _ ->
+        let band ~stripe intent =
+          Ca.group_accesses ~width
+            ~base:(Intent.key intent mod 4 * width)
+            ~stripe intent
+        in
+        Ca.exact ~slots:(4 * width)
+          (if ca_case = 3 then band
+           else fun ~stripe intent ->
+             List.rev (band ~stripe intent) @ band ~stripe intent)
+  in
+  let intents =
+    List.map (fun (w, k) -> if w then Intent.Write k else Intent.Read k) intents
+  in
+  let all = List.concat_map (ca.Ca.accesses ~stripe) intents in
+  let reference =
+    List.sort_uniq compare (List.map (fun a -> a.Ca.slot) all)
+    |> List.map (fun slot ->
+           {
+             Ca.slot;
+             write = List.exists (fun a -> a.Ca.slot = slot && a.Ca.write) all;
+           })
+  in
+  Ca.accesses_for ca ~stripe intents = reference
+
 (* ------------------------------------------------------------------ *)
 (* Lock allocators                                                      *)
 
@@ -554,6 +591,11 @@ let suite =
     test "ca indexed bounds" test_ca_indexed_bounds;
     test "ca coarse" test_ca_coarse;
     test "ca group accesses" test_ca_group;
+    qcheck "accesses_for matches dedupe-strongest + sort"
+      QCheck2.Gen.(
+        quad (0 -- 4) (2 -- 4) (0 -- 7)
+          (list_size (0 -- 4) (pair bool (0 -- 15))))
+      prop_accesses_for_matches_reference;
     test "pessimistic releases on commit" test_pessimistic_releases_on_commit;
     test "pessimistic releases on abort" test_pessimistic_releases_on_abort;
     slow "pessimistic excludes writers" test_pessimistic_blocks_conflicting;
