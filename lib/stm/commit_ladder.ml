@@ -1,6 +1,7 @@
 (* The attempt driver: commit/abort execution, the serial-irrevocable
-   quiesce protocol, and the starvation-proof escalation ladder that
-   [Stm.atomically] runs root transactions through. *)
+   quiesce protocol, and the one starvation-proof escalation ladder
+   that every root transaction — [Stm.atomically], [Stm.read_only] and
+   [Stm.atomic] alike — runs through. *)
 
 open Txn_state
 
@@ -24,7 +25,11 @@ let do_abort t reason =
   let hooks = t.abort_hooks in
   t.abort_hooks <- [];
   t.finished <- true;
-  Fun.protect ~finally:(fun () -> release_locks t) (fun () -> run_hooks hooks)
+  match run_hooks hooks with
+  | () -> release_locks t
+  | exception e ->
+      release_locks t;
+      raise e
 
 (* ------------------------------------------------------------------ *)
 (* Serial-irrevocable quiescing                                         *)
@@ -94,6 +99,20 @@ let wake_written t =
         Rwset.Wlog.plan_iter_tv t.wset Parking.wake_tvar
   end
 
+(* The owner-side tail of a published commit: the wake scan, the
+   after-commit hooks and the durable flush waits.  The earliest failure
+   — a captured locked-phase hook failure first — re-raises once all of
+   them ran. *)
+let owner_tail t (d : Publisher.done_t) =
+  if d.pd_wrote then wake_written t;
+  (match run_hooks d.pd_after with
+  | () -> ()
+  | exception e -> if d.pd_failure = None then d.pd_failure <- Some e);
+  (match run_hooks d.pd_waits with
+  | () -> ()
+  | exception e -> if d.pd_failure = None then d.pd_failure <- Some e);
+  match d.pd_failure with None -> () | Some e -> raise e
+
 let do_commit t =
   check_alive t;
   chaos_point t Fault.Pre_commit;
@@ -104,41 +123,20 @@ let do_commit t =
      other transaction can advance the clock.  Grouped publications
      keep [writers_in_flight] held while parked on the publication
      list — the quiesce drain waits for them, and they always make
-     progress (the combiner serves them, or they elect themselves). *)
+     progress (the combiner serves them, or they elect themselves).
+     Acquisition, validation, linearization and publication live in
+     the publication layer (inline or flat-combining group commit, per
+     [proto.p_stage]).  An explicit handler, not [Fun.protect]: the
+     writer count drops on every exit with no closure per commit. *)
   if has_writes then begin
     Rwset.Wlog.build_plan t.wset;
     enter_writer_commit t
   end;
-  Fun.protect
-    ~finally:(fun () -> if has_writes then exit_writer_commit ())
-    (fun () ->
-      (* Acquisition, validation, linearization and publication now
-         live in the publication layer (inline or flat-combining group
-         commit, per [proto.p_stage]); what comes back is the
-         owner-side tail: the wake scan, the after-commit hooks, the
-         durable flush waits, and any captured locked-phase hook
-         failure — earliest failure wins and re-raises once hygiene is
-         restored. *)
-      let d = Publisher.publish t ~has_writes in
-      if d.Publisher.pd_wrote then wake_written t;
-      let failure = ref d.Publisher.pd_failure in
-      (match run_hooks d.Publisher.pd_after with
-      | () -> ()
-      | exception e -> if !failure = None then failure := Some e);
-      (match run_hooks d.Publisher.pd_waits with
-      | () -> ()
-      | exception e -> if !failure = None then failure := Some e);
-      match !failure with None -> () | Some e -> raise e)
-
-(* ------------------------------------------------------------------ *)
-(* Retry blocking                                                       *)
-
-(* Block until a watched tvar changes (or the episode deadline
-   passes): real parking on the read set's wait lists, or the legacy
-   busy-poll under [Parking.Poll].  A retry that read nothing can
-   never be woken, which the ladder turns into [Retry_no_reads] before
-   reaching here. *)
-let wait_for_change ~deadline_ns watch = Parking.await ~deadline_ns watch
+  match owner_tail t (Publisher.publish t ~has_writes) with
+  | () -> if has_writes then exit_writer_commit ()
+  | exception e ->
+      if has_writes then exit_writer_commit ();
+      raise e
 
 (* ------------------------------------------------------------------ *)
 (* The escalation ladder                                                *)
@@ -154,7 +152,21 @@ let wait_for_change ~deadline_ns watch = Parking.await ~deadline_ns watch
       global quiesce token, drain in-flight writing commits and re-run
       irrevocably — no remote kill, contention-manager defeat or
       injected fault can abort the attempt, so it commits and
-      [Too_many_attempts] is unreachable under the default config. *)
+      [Too_many_attempts] is unreachable under the default config.
+      Retries on this rung keep the token: an abort here can only come
+      from a bounded abstract-lock timeout against a pre-quiesce
+      holder, which must itself drain shortly.  The exception is
+      [retry], which waits for another transaction's write — something
+      the quiesce turns away — so the token goes back before parking
+      and the next attempt, still past [fallback_after], takes it
+      again.
+
+   A read-only episode runs every attempt on the snapshot rung instead:
+   reads go through [Protocol.read_only_proto] straight into the
+   version chains at a registered snapshot (see [Txn_state.attempt_txn])
+   — no read log, no validation, no locks, and, absent user exceptions
+   or an armed watchdog, no aborts.  It records no read set, so its
+   [retry] fails as an empty-read-set retry does. *)
 let priority_boost = 1_000
 
 (* QoS episode failures, raised between attempts (never mid-attempt —
@@ -164,317 +176,148 @@ let priority_boost = 1_000
 exception Deadline_exceeded
 exception Out_of_budget
 
-let run ?(deadline_ns = 0) ?(attempt_budget = 0) cfg f =
-  let proto = Protocol.select cfg.mode in
-  let ep = begin_episode cfg in
-  Fun.protect ~finally:end_episode @@ fun () ->
-  let backoff = ep.ep_backoff in
+(* Audit an ended attempt while its logs still exist, then scrub the
+   record for the pool. *)
+let scrub t =
+  maybe_audit t;
+  retire t
+
+(* End an attempt that did not commit: run its abort hooks and release
+   its locks, then scrub it — also when an abort hook raises, before
+   that exception escapes the episode. *)
+let abort_attempt t reason =
+  Domain.DLS.set current_txn None;
+  (match do_abort t reason with
+  | () -> ()
+  | exception e ->
+      scrub t;
+      raise e);
+  scrub t
+
+(* Exception firewall for non-[Abort_exn] escapes out of [do_commit]
+   (a raising commit hook, or chaos surfacing as an arbitrary
+   exception): release everything, scrub the record, re-raise.  An
+   attempt that already linearized ([t.finished]) must not run abort
+   hooks — its effects are published; only the residue is cleaned. *)
+let commit_firewall t e =
+  Domain.DLS.set current_txn None;
+  if not t.finished then (try do_abort t Explicit with _ -> ());
+  release_locks t;
+  scrub t;
+  raise e
+
+let release_token ep =
+  if ep.ep_token <> 0 then begin
+    release_quiesce ep.ep_token;
+    ep.ep_token <- 0
+  end
+
+(* One attempt, then the next rung.  Everything the episode fixes is
+   passed as arguments, so no closure is allocated per episode or per
+   attempt. *)
+let rec attempt ep cfg proto f ~ro ~deadline_ns ~attempt_budget n ~priority
+    ~birth =
+  if n > cfg.max_attempts then raise (Too_many_attempts n);
   (* Attempt-boundary QoS gate: fail the episode before sinking work
      into an attempt it can no longer afford. *)
-  let check_episode n =
-    if attempt_budget > 0 && n > attempt_budget then raise Out_of_budget;
-    if deadline_ns <> 0 && Clock.now_mono_ns () >= deadline_ns then
-      raise Deadline_exceeded
-  in
-  (* End an attempt: audit external resources while the logs still
-     exist, then scrub the record for the pool. *)
-  let finish_attempt t =
-    Domain.DLS.set current_txn None;
-    maybe_audit t;
-    retire t
-  in
-  (* Abort an attempt, guarding against abort hooks that raise: the
-     locks are already released by [do_abort]'s own protect, but the
-     pooled record must still be scrubbed before the hook's exception
-     escapes the episode. *)
-  let abort_and_scrub t reason =
-    match do_abort t reason with
-    | () -> ()
-    | exception e ->
-        maybe_audit t;
-        retire t;
-        raise e
-  in
-  (* Exception firewall for non-[Abort_exn] escapes out of [do_commit]
-     (a raising commit hook, or chaos surfacing as an arbitrary
-     exception): release everything, scrub the record, re-raise.  An
-     attempt that already linearized ([t.finished]) must not run abort
-     hooks — its effects are published; only the residue is cleaned. *)
-  let commit_firewall t e =
-    Domain.DLS.set current_txn None;
-    if not t.finished then (try do_abort t Explicit with _ -> ());
-    release_locks t;
-    maybe_audit t;
-    retire t;
-    raise e
-  in
-  let rec attempt n ~priority ~birth =
-    if n > cfg.max_attempts then raise (Too_many_attempts n);
-    check_episode n;
-    if cfg.serial_fallback && n > cfg.fallback_after then
-      fallback_attempt n ~priority ~birth
-    else begin
-      let priority =
-        if n > cfg.abort_budget then priority + priority_boost else priority
-      in
-      Stats.record_start ();
-      let t = attempt_txn ep cfg ~proto ~priority ?birth ~deadline_ns () in
-      obs_attempt_start t ~n;
-      let birth = Some t.tdesc.Txn_desc.birth in
-      Domain.DLS.set current_txn (Some t);
-      let retry_after_abort ?watch reason =
-        Domain.DLS.set current_txn None;
-        abort_and_scrub t reason;
-        let next_priority = t.tdesc.Txn_desc.priority in
-        maybe_audit t;
-        (match watch with
-        | Some ws -> wait_for_change ~deadline_ns ws
-        | None -> Backoff.once ~until_ns:deadline_ns backoff);
-        retire t;
-        attempt (n + 1) ~priority:next_priority ~birth
-      in
-      match f t with
-      | result -> (
-          match do_commit t with
-          | () ->
-              finish_attempt t;
-              result
-          | exception Abort_exn reason -> retry_after_abort reason
-          | exception e -> commit_firewall t e)
-      | exception Abort_exn reason -> retry_after_abort reason
-      | exception Retry_exn ->
-          let watch = read_watch_entries t in
-          if watch = [] then begin
-            (* An empty read set can never be woken: fail the episode
-               with the typed error, with pool hygiene restored. *)
-            Domain.DLS.set current_txn None;
-            abort_and_scrub t Explicit;
-            maybe_audit t;
-            retire t;
-            raise Retry_no_reads
-          end;
-          retry_after_abort ~watch Explicit
-      | exception e ->
-          (* A user exception observed in an inconsistent (zombie) state is
-             an artifact of late conflict detection, not a real error:
-             abort and re-run, as ScalaSTM does (§7).  In a consistent
-             state, abort and propagate. *)
-          Domain.DLS.set current_txn None;
-          let consistent = Protocol.reads_valid t in
-          abort_and_scrub t Explicit;
-          let next_priority = t.tdesc.Txn_desc.priority in
-          maybe_audit t;
-          retire t;
-          if consistent then raise e
-          else begin
-            Backoff.once ~until_ns:deadline_ns backoff;
-            attempt (n + 1) ~priority:next_priority ~birth
-          end
-    end
-  and fallback_attempt n ~priority ~birth =
-    let token = acquire_quiesce ~backoff in
+  if attempt_budget > 0 && n > attempt_budget then raise Out_of_budget;
+  if deadline_ns <> 0 && Clock.now_mono_ns () >= deadline_ns then
+    raise Deadline_exceeded;
+  let irrevocable = cfg.serial_fallback && n > cfg.fallback_after && not ro in
+  if irrevocable && ep.ep_token = 0 then begin
+    let token = acquire_quiesce ~backoff:ep.ep_backoff in
+    ep.ep_token <- token;
     Stats.record_fallback ();
-    obs_fallback ~token;
-    Fun.protect
-      ~finally:(fun () ->
-        release_quiesce token;
-        if leak_audit_enabled () && Atomic.get quiesce = token then
-          raise (Lock_leak "quiesce token survived its fallback episode"))
-      (fun () ->
-        (* Retries inside the episode keep the token: an abort here can
-           only come from a bounded abstract-lock timeout against a
-           pre-quiesce holder, which must itself drain shortly. *)
-        let rec go n ~priority =
-          if n > cfg.max_attempts then raise (Too_many_attempts n);
-          check_episode n;
-          Stats.record_start ();
-          let t =
-            attempt_txn ep cfg ~proto ~priority ?birth ~irrevocable:true
-              ~deadline_ns ()
-          in
-          obs_attempt_start t ~n;
-          Domain.DLS.set current_txn (Some t);
-          let retry_irrevocable reason =
-            Domain.DLS.set current_txn None;
-            abort_and_scrub t reason;
-            let next_priority = t.tdesc.Txn_desc.priority in
-            maybe_audit t;
-            retire t;
-            Backoff.once ~until_ns:deadline_ns backoff;
-            go (n + 1) ~priority:next_priority
-          in
-          match f t with
-          | result -> (
-              match do_commit t with
-              | () ->
-                  finish_attempt t;
-                  result
-              | exception Abort_exn reason -> retry_irrevocable reason
-              | exception e -> commit_firewall t e)
-          | exception Abort_exn reason -> retry_irrevocable reason
-          | exception Retry_exn ->
-              (* [retry] waits for another transaction to change the
-                 read set, which can never happen while we quiesce the
-                 writers: hand the token back, park, and re-enter the
-                 ladder at the boosted rung. *)
-              let watch = read_watch_entries t in
-              Domain.DLS.set current_txn None;
-              abort_and_scrub t Explicit;
-              let next_priority = t.tdesc.Txn_desc.priority in
-              let fallback_birth =
-                Some (Option.value birth ~default:t.tdesc.Txn_desc.birth)
-              in
-              maybe_audit t;
-              retire t;
-              if watch = [] then raise Retry_no_reads;
-              release_quiesce token;
-              wait_for_change ~deadline_ns watch;
-              attempt (n + 1) ~priority:next_priority ~birth:fallback_birth
-          | exception e ->
-              (* Irrevocable reads are consistent by construction, so a
-                 user exception is a real error: abort and propagate. *)
-              Domain.DLS.set current_txn None;
-              abort_and_scrub t Explicit;
-              maybe_audit t;
-              retire t;
-              raise e
-        in
-        go n ~priority)
+    obs_fallback ~token
+  end;
+  let priority =
+    if n > cfg.abort_budget && not irrevocable then priority + priority_boost
+    else priority
   in
-  attempt 1 ~priority:0 ~birth:None
-
-(* ------------------------------------------------------------------ *)
-(* The read-only snapshot path (Multi_version)                          *)
-
-(* Run a root read-only transaction against a registered consistent
-   snapshot.  Reads dispatch through [Protocol.read_only_proto]
-   straight into the version chains: no read log, no validation, no
-   locks — and, absent user exceptions or an armed watchdog, no
-   aborts, no matter how write-heavy the concurrency.
-
-   Snapshot adoption is the heart of the abort-free guarantee:
-
-   1. Register this domain's snapshot slot with a clock sample BEFORE
-      adopting the final timestamp.  A committing writer trims version
-      chains after ticking the clock; if its floor scan missed our
-      registration, our later sample is >= its commit version, so the
-      head it installed already serves our reads — the trimmed tail
-      was never ours to need.  If the scan saw us, it kept every
-      version at or below our timestamp that we can reach.
-
-   2. Adopt [rv] from a plain clock sample, then drain the serial
-      commit gate once.  In-flight lock-mode commits need no global
-      wait: a commit at or below [rv] still holds every written
-      tvar's version-lock until its publish lands, and [read_ro]
-      waits a held lock out before walking that tvar's chain — while
-      a commit that takes a lock after our sample ticks strictly
-      above [rv] and is invisible to the snapshot either way.
-      Serial-gate commits hold no per-tvar locks, but hold the gate
-      exclusively from before their tick to after their publish, so
-      one free observation of the gate retires every serial commit
-      the snapshot could see.  Hence every version <= rv is reachable
-      and every read is of a committed, complete state: consistent by
-      construction. *)
-let run_read_only ?(deadline_ns = 0) ?(attempt_budget = 0) cfg f =
-  (* Arm chain maintenance even if no read-write block selected
-     Multi_version yet: snapshots need history to exist. *)
-  Snapshots.ensure_armed ();
-  let proto = Protocol.read_only_proto in
-  let ep = begin_episode cfg in
-  Fun.protect ~finally:end_episode @@ fun () ->
-  let backoff = ep.ep_backoff in
-  let check_episode n =
-    if attempt_budget > 0 && n > attempt_budget then raise Out_of_budget;
-    if deadline_ns <> 0 && Clock.now_mono_ns () >= deadline_ns then
-      raise Deadline_exceeded
+  Stats.record_start ();
+  let t =
+    attempt_txn ep cfg ~proto ~priority ~birth ~irrevocable ~deadline_ns ~ro
   in
-  let settle_rv () =
-    let v = Clock.now Clock.global in
-    while not (Protocol.commit_gate_free ()) do
-      if deadline_ns <> 0 && Clock.now_mono_ns () >= deadline_ns then
-        raise Deadline_exceeded;
-      Domain.cpu_relax ()
-    done;
-    v
-  in
-  let finish_attempt t =
-    Domain.DLS.set current_txn None;
-    maybe_audit t;
-    retire t
-  in
-  let abort_and_scrub t reason =
-    Domain.DLS.set current_txn None;
-    (match do_abort t reason with
-    | () -> ()
-    | exception e ->
-        maybe_audit t;
-        retire t;
-        raise e);
-    maybe_audit t;
-    retire t
-  in
-  let rec attempt n =
-    if n > cfg.max_attempts then raise (Too_many_attempts n);
-    check_episode n;
-    Stats.record_start ();
-    let t = attempt_txn ep cfg ~proto ~priority:0 ~deadline_ns ~ro:true () in
-    obs_attempt_start t ~n;
-    Snapshots.register (Clock.now Clock.global);
-    (* Every branch below deregisters the snapshot slot first thing —
-       spelled out instead of a [Fun.protect] to keep the per-attempt
-       hot path allocation-free.  Deregistering before [do_commit] is
-       fine: a read-only commit touches no version chain. *)
-    let outcome =
-      match
-        t.rv <- settle_rv ();
-        Domain.DLS.set current_txn (Some t);
-        f t
-      with
-      | result -> (
-          Snapshots.deregister ();
-          Stats.add_ro_snapshot_reads t.ro_reads;
-          match do_commit t with
-          | () ->
-              Stats.record_ro_commit ();
-              finish_attempt t;
-              `Done result
-          | exception Abort_exn reason ->
-              (* Unreachable from snapshot reads; only a remote kill
-                 (armed watchdog) can land here.  Counted so the
-                 abort-free gate sees any protocol regression. *)
-              Stats.record_ro_abort ();
-              abort_and_scrub t reason;
-              `Retry
-          | exception e ->
-              Domain.DLS.set current_txn None;
-              if not t.finished then (try do_abort t Explicit with _ -> ());
-              release_locks t;
-              maybe_audit t;
-              retire t;
-              raise e)
+  obs_attempt_start t ~n;
+  Domain.DLS.set current_txn (Some t);
+  match f t with
+  | result -> (
+      if ro then Stats.add_ro_snapshot_reads t.ro_reads;
+      match do_commit t with
+      | () ->
+          if ro then Stats.record_ro_commit ();
+          Domain.DLS.set current_txn None;
+          scrub t;
+          result
       | exception Abort_exn reason ->
-          Snapshots.deregister ();
-          Stats.record_ro_abort ();
-          abort_and_scrub t reason;
-          `Retry
-      | exception Retry_exn ->
-          (* Snapshot reads record no watch entries, so a [retry] here
-             could never be woken: fail the episode typed, like an
-             empty-read-set retry. *)
-          Snapshots.deregister ();
-          abort_and_scrub t Explicit;
-          raise Retry_no_reads
-      | exception e ->
-          (* Snapshot reads are consistent by construction — there are
-             no zombies to forgive; a user exception is a real error. *)
-          Snapshots.deregister ();
-          abort_and_scrub t Explicit;
-          raise e
-    in
-    match outcome with
-    | `Done r -> r
-    | `Retry ->
-        Backoff.once ~until_ns:deadline_ns backoff;
-        attempt (n + 1)
+          again ep cfg proto f ~ro ~deadline_ns ~attempt_budget n t reason
+      | exception e -> commit_firewall t e)
+  | exception Abort_exn reason ->
+      again ep cfg proto f ~ro ~deadline_ns ~attempt_budget n t reason
+  | exception Retry_exn ->
+      let watch = read_watch_entries t in
+      abort_attempt t Explicit;
+      (* An empty read set can never be woken: fail the episode with
+         the typed error, with pool hygiene restored. *)
+      if watch = [] then raise Retry_no_reads;
+      (* On the fallback rung, [retry] waits for another transaction's
+         write, which the quiesce token would turn away: hand the token
+         back before parking.  The next attempt, still past
+         [fallback_after], re-enters the fallback rung and takes it
+         again. *)
+      release_token ep;
+      Parking.await ~deadline_ns watch;
+      attempt ep cfg proto f ~ro ~deadline_ns ~attempt_budget (n + 1)
+        ~priority:t.tdesc.Txn_desc.priority ~birth:t.tdesc.Txn_desc.birth
+  | exception e ->
+      (* A user exception observed in an inconsistent (zombie) state is
+         an artifact of late conflict detection, not a real error:
+         abort and re-run, as ScalaSTM does (§7).  In a consistent
+         state — which irrevocable and snapshot reads are by
+         construction — abort and propagate. *)
+      let consistent = irrevocable || Protocol.reads_valid t in
+      abort_attempt t Explicit;
+      if consistent then raise e;
+      Backoff.once ~until_ns:deadline_ns ep.ep_backoff;
+      attempt ep cfg proto f ~ro ~deadline_ns ~attempt_budget (n + 1)
+        ~priority:t.tdesc.Txn_desc.priority ~birth:t.tdesc.Txn_desc.birth
+
+(* An aborted attempt backs off and re-enters the ladder.  A snapshot
+   attempt can only get here by a remote kill (armed watchdog); it is
+   counted so the abort-free gate sees any protocol regression. *)
+and again ep cfg proto f ~ro ~deadline_ns ~attempt_budget n t reason =
+  if ro then Stats.record_ro_abort ();
+  abort_attempt t reason;
+  Backoff.once ~until_ns:deadline_ns ep.ep_backoff;
+  attempt ep cfg proto f ~ro ~deadline_ns ~attempt_budget (n + 1)
+    ~priority:t.tdesc.Txn_desc.priority ~birth:t.tdesc.Txn_desc.birth
+
+(* Hand the quiesce token back when the episode ends, however it ends. *)
+let end_root ep =
+  let token = ep.ep_token in
+  release_token ep;
+  end_episode ();
+  if token <> 0 && leak_audit_enabled () && Atomic.get quiesce = token then
+    raise (Lock_leak "quiesce token survived its fallback episode")
+
+let run cfg ~ro ~deadline_ns ~attempt_budget f =
+  let proto =
+    if ro then begin
+      (* Snapshots need history to exist even if no read-write block
+         selected Multi_version yet. *)
+      Snapshots.ensure_armed ();
+      Protocol.read_only_proto
+    end
+    else Protocol.select cfg.mode
   in
-  attempt 1
+  let ep = begin_episode cfg in
+  match
+    attempt ep cfg proto f ~ro ~deadline_ns ~attempt_budget 1 ~priority:0
+      ~birth:(-1)
+  with
+  | v ->
+      end_root ep;
+      v
+  | exception e ->
+      end_root ep;
+      raise e

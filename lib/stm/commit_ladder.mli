@@ -1,7 +1,8 @@
 (** The attempt driver: commit/abort execution, the serial-irrevocable
-    quiesce protocol, and the starvation-proof escalation ladder
-    (plain retries → priority boost → serial-irrevocable fallback)
-    that {!Stm.atomically} runs root transactions through. *)
+    quiesce protocol, and the one starvation-proof escalation ladder
+    (plain retries → priority boost → serial-irrevocable fallback, or
+    the read-only snapshot rung) that every root transaction runs
+    through. *)
 
 (** Episode-level QoS failures, raised only at attempt boundaries (a
     mid-attempt deadline hit aborts the attempt with
@@ -18,37 +19,22 @@ exception Out_of_budget
     record via {!Txn_state.begin_episode}, and audits/retires every
     attempt.
 
+    [ro] runs every attempt as a read-only snapshot transaction
+    ({!Protocol.read_only_proto}): reads come from the tvar version
+    chains at a registered snapshot, nothing is logged, validated or
+    locked, and — absent user exceptions or an armed watchdog — the
+    transaction never aborts regardless of concurrent writers.  Arms
+    {!Snapshots} on entry.
+
     [deadline_ns] (absolute {!Clock.now_mono_ns}; 0 = none) bounds the
     episode: checked before every attempt, at validation, and inside
     lock-wait polls; backoff sleeps are clamped to it.
     [attempt_budget] (0 = unlimited) bounds the number of attempts the
     episode may start, independently of [cfg.max_attempts]. *)
 val run :
-  ?deadline_ns:int ->
-  ?attempt_budget:int ->
   Txn_state.config ->
+  ro:bool ->
+  deadline_ns:int ->
+  attempt_budget:int ->
   (Txn_state.t -> 'a) ->
   'a
-
-(** Run one root {e read-only} transaction against a consistent
-    registered snapshot ({!Protocol.read_only_proto}): reads come from
-    the tvar version chains at the snapshot timestamp, nothing is
-    logged, validated or locked, and — absent user exceptions or an
-    armed watchdog — the transaction never aborts regardless of
-    concurrent writers.  Arms {!Snapshots} on entry.  [deadline_ns]
-    and [attempt_budget] as in {!run}. *)
-val run_read_only :
-  ?deadline_ns:int ->
-  ?attempt_budget:int ->
-  Txn_state.config ->
-  (Txn_state.t -> 'a) ->
-  'a
-
-(** Abort the attempt: record stats, run abort hooks (LIFO), release
-    per-location locks.  Exposed for the façade's zombie-exception
-    handling. *)
-val do_abort : Txn_state.t -> Txn_state.abort_reason -> unit
-
-(** Commit the attempt (exposed for tests that drive single attempts;
-    [run] is the normal entry). *)
-val do_commit : Txn_state.t -> unit

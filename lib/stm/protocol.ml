@@ -157,7 +157,7 @@ let rec read_mv : type a. t -> a Tvar.t -> attempt:int -> a =
 
 (* Read-only snapshot read: no read log (nothing to validate — the
    snapshot is consistent by construction, see
-   Commit_ladder.run_read_only), but it must wait out a held
+   Txn_state.attempt_txn), but it must wait out a held
    version-lock before walking the chain.  A lock-mode commit holds
    each written tvar's lock from before its clock tick to after its
    publish, so a held lock may hide an unpublished version at or below
@@ -251,14 +251,6 @@ let acquire_commit_gate t =
 let release_commit_gate t =
   if Atomic.get commit_gate = t.tdesc.Txn_desc.id then Atomic.set commit_gate 0
 
-(* One free observation proves every serial-gate commit that ticked at
-   or below the observer's snapshot has fully published: the gate is
-   held from before the tick until after the publish, exclusively.
-   [Commit_ladder.run_read_only] drains on this once at snapshot
-   adoption (per-tvar locks are instead waited out per read, in
-   [read_ro]). *)
-let commit_gate_free () = Atomic.get commit_gate = 0
-
 (* ------------------------------------------------------------------ *)
 (* The five protocols                                                   *)
 
@@ -340,7 +332,7 @@ let multi_version =
   }
 
 (* The abort-free snapshot protocol for read-only transactions
-   (Commit_ladder.run_read_only installs it directly; it is not a
+   (the ladder's snapshot rung installs it directly; it is not a
    [mode]).  Writes never reach [p_pre_write] — Stm.write raises
    [Read_only_violation] on the [ro] flag first — and with an empty
    write set the commit path neither acquires nor validates. *)

@@ -32,7 +32,7 @@ val read_mv : Txn_state.t -> 'a Tvar.t -> attempt:int -> 'a
     (unreachable for registered snapshots). *)
 val read_ro : Txn_state.t -> 'a Tvar.t -> 'a
 
-(** The abort-free protocol {!Commit_ladder.run_read_only} installs
+(** The abort-free protocol {!Commit_ladder.run}'s snapshot rung installs
     for read-only snapshot transactions (not reachable via [select]). *)
 val read_only_proto : Txn_state.proto
 
@@ -41,11 +41,6 @@ val acquire_plan_locks : Txn_state.t -> unit
 
 val acquire_commit_gate : Txn_state.t -> unit
 val release_commit_gate : Txn_state.t -> unit
-
-(** [true] when no serial-gate commit is in flight; one observation at
-    snapshot adoption proves every [Serial_commit] writer at or below
-    the snapshot has fully published. *)
-val commit_gate_free : unit -> bool
 
 (** The protocol record for a mode — called once per atomic block. *)
 val select : Txn_state.mode -> Txn_state.proto

@@ -6,10 +6,10 @@
    [proto.p_stage]; the ladder calls {!publish} once per commit and
    receives a [done_t] describing what is left to run owner-side.
 
-   [Inline_publish] is the classic path, moved verbatim from the old
-   [Commit_ladder.do_commit] body: the committing transaction acquires
-   its commit locks (or the serial gate), validates, ticks, publishes
-   and releases — one transaction, one gate acquisition.
+   [Inline_publish] is the classic path: the committing transaction
+   acquires its commit locks (or the serial gate), validates, ticks,
+   publishes and releases — one transaction, one gate acquisition.
+   Both pipelines share one post-linearization tail ({!linearized}).
 
    [Group_commit] is flat-combining group commit for the Serial_commit
    mode.  All writing commits in that mode serialize on the one global
@@ -75,8 +75,8 @@ let run_hooks hooks =
    callbacks may start new transactions there). *)
 type done_t = {
   pd_after : (unit -> unit) list;  (* after-commit hooks, run order *)
-  pd_waits : (unit -> unit) list;  (* durable flush waits, run order *)
-  pd_failure : exn option;  (* earliest locked-phase hook failure *)
+  mutable pd_waits : (unit -> unit) list;  (* durable flush waits *)
+  mutable pd_failure : exn option;  (* earliest hook failure *)
   pd_wrote : bool;  (* tvar writes published: scan wait lists *)
 }
 
@@ -214,6 +214,62 @@ let defer_flush f =
   | Some s -> s.s_flushes <- f :: s.s_flushes
 
 (* ------------------------------------------------------------------ *)
+(* The post-linearization tail (both publishers)                        *)
+
+(* Durable hooks in registration order, each given the commit version
+   as its LSN; a hook may hand back a flush-wait thunk.  The first
+   failure is recorded and the rest still run.  A top-level loop, not a
+   [List.iter] closure, so the common no-hook commit allocates
+   nothing. *)
+let rec run_durable d wv = function
+  | [] -> d.pd_waits <- List.rev d.pd_waits
+  | h :: rest ->
+      (match h wv with
+      | None -> ()
+      | Some wait -> d.pd_waits <- wait :: d.pd_waits
+      | exception e -> if d.pd_failure = None then d.pd_failure <- Some e);
+      run_durable d wv rest
+
+(* The attempt has linearized at [wv]: whatever the locked-phase hooks
+   do, the write set publishes, the locks release, and the after-commit
+   hooks still run — structure residue cleanup (e.g. pessimistic
+   abstract-lock release) rides on the latter, so a raising locked hook
+   must not starve them.  The earliest hook failure is captured into
+   [pd_failure] and re-raised owner-side once hygiene is restored.
+
+   Durable hooks run while the write locks (or the gate) are still
+   held: the redo-log append for a conflicting successor cannot be
+   ordered before ours, so append order agrees with conflict order.
+   Their flush waits are deferred until every lock and gate is
+   released — group commit means the wait spans other domains' appends
+   and must not extend the locked window.  [Stats.record_commit] is
+   striped and safe from a combiner's domain. *)
+let linearized t ~wv ~wrote =
+  Stats.record_commit ();
+  t.finished <- true;
+  let locked_hooks = List.rev t.commit_locked_hooks in
+  let durable_hooks = List.rev t.durable_hooks in
+  let d =
+    {
+      pd_after = List.rev t.after_commit_hooks;
+      pd_waits = [];
+      pd_failure = None;
+      pd_wrote = wrote;
+    }
+  in
+  t.commit_locked_hooks <- [];
+  t.after_commit_hooks <- [];
+  t.abort_hooks <- [];
+  t.durable_hooks <- [];
+  (match run_hooks locked_hooks with
+  | () -> ()
+  | exception e -> d.pd_failure <- Some e);
+  run_durable d wv durable_hooks;
+  Rwset.Wlog.publish_plan t.wset ~version:wv;
+  release_locks t;
+  d
+
+(* ------------------------------------------------------------------ *)
 (* Committing one batch entry (gate held, combiner's domain)            *)
 
 (* Per-session version state: [bs_wv] caches the shared batch tick
@@ -287,43 +343,12 @@ let commit_entry bs t =
     if not valid then Rejected Conflict
     else if not (Txn_desc.try_commit t.tdesc) then Rejected Killed
     else begin
-      (* Linearized.  [Stats.record_commit] is striped and safe from
-         the combiner's domain; the paired [Metrics.on_commit] runs
-         owner-side when the outcome is consumed. *)
-      Stats.record_commit ();
-      t.finished <- true;
-      let locked_hooks = List.rev t.commit_locked_hooks in
-      let after_hooks = List.rev t.after_commit_hooks in
-      let durable_hooks = List.rev t.durable_hooks in
-      t.commit_locked_hooks <- [];
-      t.after_commit_hooks <- [];
-      t.abort_hooks <- [];
-      t.durable_hooks <- [];
-      let failure =
-        match run_hooks locked_hooks with
-        | () -> None
-        | exception e -> Some e
-      in
-      let failure = ref failure in
-      let waits = ref [] in
-      List.iter
-        (fun h ->
-          match h wv with
-          | None -> ()
-          | Some wait -> waits := wait :: !waits
-          | exception e -> if !failure = None then failure := Some e)
-        durable_hooks;
-      Rwset.Wlog.publish_plan t.wset ~version:wv;
+      (* Linearized; the paired [Metrics.on_commit] runs owner-side
+         when the outcome is consumed. *)
+      let d = linearized t ~wv ~wrote:true in
       note_published bs t;
-      release_locks t;
       bs.bs_dirty <- true;
-      Committed
-        {
-          pd_after = after_hooks;
-          pd_waits = List.rev !waits;
-          pd_failure = !failure;
-          pd_wrote = true;
-        }
+      Committed d
     end
   end
 
@@ -453,10 +478,9 @@ let combiner_commit t =
               linger_until := Clock.now_mono_ns () + linger_ns
       done);
   match !own with
-  | Committed d -> (
-      match (d.pd_failure, !flush_failure) with
-      | None, (Some _ as f) -> { d with pd_failure = f }
-      | _ -> d)
+  | Committed d ->
+      if d.pd_failure = None then d.pd_failure <- !flush_failure;
+      d
   | Rejected r -> (
       (* A flush failure with our own entry rejected has no commit to
          ride back on; it is a real error and must surface rather than
@@ -534,26 +558,28 @@ let publish_grouped t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* The inline publish (the classic path, ex-[Commit_ladder.do_commit])  *)
+(* The inline publish (the classic path)                                *)
+
+(* A failed inline commit releases what [p_acquire] took that the
+   abort path will not (the serial gate). *)
+let fail_inline t reason =
+  t.proto.p_release_fail t;
+  raise (Abort_exn reason)
 
 let publish_inline t ~has_writes =
   (* Phase 1: the protocol takes its commit locks — the plan in uid
      order, or the one global gate (Serial_commit). *)
   if has_writes then t.proto.p_acquire t;
-  let fail reason =
-    t.proto.p_release_fail t;
-    raise (Abort_exn reason)
-  in
   (match chaos_point t Fault.Pre_validate with
   | () -> ()
-  | exception Abort_exn reason -> fail reason);
+  | exception Abort_exn reason -> fail_inline t reason);
   (* Deadline check at the head of validation: a commit that locked
      its plan but whose deadline passed releases everything here
      rather than paying for validation it no longer wants.
      [check_deadline] is a no-op for irrevocable attempts. *)
   (match check_deadline t with
   | () -> ()
-  | exception Abort_exn reason -> fail reason);
+  | exception Abort_exn reason -> fail_inline t reason);
   (* Phase 2: validate the read set against the snapshot timestamp.
      A transaction whose writes immediately follow its snapshot
      (rv+1 = wv) cannot have missed a concurrent commit, per TL2.
@@ -567,54 +593,14 @@ let publish_inline t ~has_writes =
   if has_writes && wv > t.rv + 1 then begin
     let ok = Protocol.reads_valid t in
     obs_validate t ~ok;
-    if not ok then fail Conflict
+    if not ok then fail_inline t Conflict
   end;
-  (* Phase 3: linearize. *)
-  if not (Txn_desc.try_commit t.tdesc) then fail Killed;
-  Stats.record_commit ();
+  (* Phase 3: linearize; phase 4: hooks and publish. *)
+  if not (Txn_desc.try_commit t.tdesc) then fail_inline t Killed;
   obs_commit t;
-  (* Phase 4: locked-phase handlers (replay logs), then publish. *)
-  t.finished <- true;
-  let locked_hooks = List.rev t.commit_locked_hooks in
-  let after_hooks = List.rev t.after_commit_hooks in
-  let durable_hooks = List.rev t.durable_hooks in
-  t.commit_locked_hooks <- [];
-  t.after_commit_hooks <- [];
-  t.durable_hooks <- [];
-  (* The attempt has linearized: whatever the locked-phase hooks do,
-     the write set publishes, the locks release, and the after-commit
-     hooks still run — structure residue cleanup (e.g. pessimistic
-     abstract-lock release) rides on the latter, so a raising locked
-     hook must not starve them.  The earliest hook failure wins and
-     re-raises once hygiene is restored (in the ladder). *)
-  let locked_failure =
-    match run_hooks locked_hooks with () -> None | exception e -> Some e
-  in
-  (* Durable hooks run while the write locks are still held: the
-     redo-log append for a conflicting successor cannot be ordered
-     before ours, so append order agrees with conflict order.  Each
-     hook gets the commit version as its LSN and may hand back a
-     flush-wait thunk, deferred until every lock and gate is
-     released — group commit means the wait spans other domains'
-     appends and must not extend the locked window. *)
-  let locked_failure = ref locked_failure in
-  let waits = ref [] in
-  List.iter
-    (fun h ->
-      match h wv with
-      | None -> ()
-      | Some wait -> waits := wait :: !waits
-      | exception e -> if !locked_failure = None then locked_failure := Some e)
-    durable_hooks;
-  Rwset.Wlog.publish_plan t.wset ~version:wv;
-  release_locks t;
+  let d = linearized t ~wv ~wrote:has_writes in
   t.proto.p_release t;
-  {
-    pd_after = after_hooks;
-    pd_waits = List.rev !waits;
-    pd_failure = !locked_failure;
-    pd_wrote = has_writes;
-  }
+  d
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                             *)

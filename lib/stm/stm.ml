@@ -4,12 +4,13 @@
      Rwset         log-structured read/write/local sets
      Txn_state     the pooled attempt record, audit, obs, chaos
      Protocol      the four conflict-detection modes as data
-     Commit_ladder commit/abort drivers + the escalation ladder
+     Commit_ladder commit/abort + the one escalation ladder
 
    — and this façade re-exports the stable [Stm] API on top: the
    read/write hot paths (write-log filter probe, then the protocol's
    slow path), [or_else] by log watermarks, transaction-locals over the
-   local log, and [atomically]'s nesting flattening. *)
+   local log, and the one root call (with nesting flattening) behind
+   every entry point. *)
 
 (* The mode authority, re-exported: [Stm.Mode.all] is the one list
    tests and benches enumerate, [Stm.Mode.of_string] the one parser. *)
@@ -220,28 +221,17 @@ module Local = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* The atomic-block entry                                               *)
-
-(* Nesting is flattened: a domain-local slot tracks the transaction an
-   [atomically] is currently running on this domain, and nested calls
-   join it.  The nested body's effects then commit or abort with the
-   outer transaction, which is the composition semantics Proustian
-   objects assume. *)
-let atomically ?config:(cfg = get_default_config ()) f =
-  match Domain.DLS.get Txn_state.current_txn with
-  | Some outer when not outer.Txn_state.finished -> f outer
-  | _ -> Commit_ladder.run cfg f
+(* The atomic-block entries                                             *)
 
 let in_transaction () =
   match Domain.DLS.get Txn_state.current_txn with
   | Some t -> not t.Txn_state.finished
   | None -> false
 
-(* Read-only snapshot transactions.  A root call takes the abort-free
-   snapshot path; a nested call joins the enclosing transaction but
-   holds its [ro] flag up for the duration, so writes anywhere under
-   the read-only scope raise [Read_only_violation] even when the
-   enclosing transaction could write. *)
+(* A read-only scope nested in a running transaction joins it but holds
+   its [ro] flag up for the duration, so writes anywhere under the
+   scope raise [Read_only_violation] even when the enclosing
+   transaction could write. *)
 let join_read_only outer f =
   let saved = outer.Txn_state.ro in
   outer.Txn_state.ro <- true;
@@ -249,10 +239,24 @@ let join_read_only outer f =
     ~finally:(fun () -> outer.Txn_state.ro <- saved)
     (fun () -> f outer)
 
-let read_only ?config:(cfg = get_default_config ()) f =
+(* The one root call behind [atomically], [read_only] and [atomic].
+   Nesting is flattened: a domain-local slot tracks the transaction
+   running on this domain, and a nested call joins it, so the nested
+   body's effects commit or abort with the outer transaction — the
+   composition semantics Proustian objects assume.  Otherwise the call
+   starts a root episode on the ladder (the snapshot rung when
+   [ro]). *)
+let run cfg ~ro ~deadline_ns ~attempt_budget f =
   match Domain.DLS.get Txn_state.current_txn with
-  | Some outer when not outer.Txn_state.finished -> join_read_only outer f
-  | _ -> Commit_ladder.run_read_only cfg f
+  | Some outer when not outer.Txn_state.finished ->
+      if ro then join_read_only outer f else f outer
+  | _ -> Commit_ladder.run cfg ~ro ~deadline_ns ~attempt_budget f
+
+let atomically ?config:(cfg = get_default_config ()) f =
+  run cfg ~ro:false ~deadline_ns:0 ~attempt_budget:0 f
+
+let read_only ?config:(cfg = get_default_config ()) f =
+  run cfg ~ro:true ~deadline_ns:0 ~attempt_budget:0 f
 
 (* ------------------------------------------------------------------ *)
 (* The QoS entry: outcomes instead of open-ended retry                  *)
@@ -274,38 +278,28 @@ let deadline t =
   if d = 0 then None else Some (float_of_int d *. 1e-9)
 
 (* Episode-level QoS counters are recorded here, once per episode —
-   the ladder only counts the per-attempt events. *)
+   the ladder only counts the per-attempt events.  Admission applies to
+   root calls only: a nested call runs under the enclosing episode's
+   QoS envelope (deadline, budget, admission). *)
 let atomic ?config:(cfg = get_default_config ()) ?deadline ?max_attempts
     ?(read_only = false) f =
-  match Domain.DLS.get Txn_state.current_txn with
-  | Some outer when not outer.Txn_state.finished ->
-      (* Nested: join the enclosing transaction.  Its QoS envelope
-         (deadline, budget, admission) already covers this body. *)
-      if read_only then Outcome.Committed (join_read_only outer f)
-      else Outcome.Committed (f outer)
-  | _ ->
-      if not (Qos.Shedder.admit ()) then begin
-        Stats.record_shed ();
-        Outcome.Shed
-      end
-      else begin
-        let deadline_ns =
-          match deadline with None -> 0 | Some d -> int_of_float (d *. 1e9)
-        in
-        let attempt_budget = Option.value max_attempts ~default:0 in
-        let run =
-          if read_only then Commit_ladder.run_read_only ~deadline_ns
-          else Commit_ladder.run ~deadline_ns
-        in
-        match run ~attempt_budget cfg f with
-        | v -> Outcome.Committed v
-        | exception Commit_ladder.Deadline_exceeded ->
-            Stats.record_timeout ();
-            Outcome.Timed_out
-        | exception Commit_ladder.Out_of_budget ->
-            Stats.record_budget_exhausted ();
-            Outcome.Budget_exhausted
-      end
+  if not (in_transaction () || Qos.Shedder.admit ()) then begin
+    Stats.record_shed ();
+    Outcome.Shed
+  end
+  else
+    let deadline_ns =
+      match deadline with None -> 0 | Some d -> int_of_float (d *. 1e9)
+    in
+    let attempt_budget = Option.value max_attempts ~default:0 in
+    match run cfg ~ro:read_only ~deadline_ns ~attempt_budget f with
+    | v -> Outcome.Committed v
+    | exception Commit_ladder.Deadline_exceeded ->
+        Stats.record_timeout ();
+        Outcome.Timed_out
+    | exception Commit_ladder.Out_of_budget ->
+        Stats.record_budget_exhausted ();
+        Outcome.Budget_exhausted
 
 module Ref = struct
   type 'a t = 'a Tvar.t

@@ -103,7 +103,12 @@ exception Read_only_violation
     flattened: an [atomically] reached while this domain is already
     running a transaction joins that transaction (its [config] is
     ignored), and the nested effects commit or abort with the outer
-    one. *)
+    one.
+
+    [atomically], {!read_only} and {!atomic} share one root path: the
+    same nested join, and one call into the escalation ladder
+    (optimistic → priority-boosted → serial-irrevocable rungs, or the
+    snapshot rung for read-only episodes). *)
 val atomically : ?config:config -> (txn -> 'a) -> 'a
 
 (** Whether this domain is currently inside an [atomically] body —
@@ -131,7 +136,9 @@ val in_transaction : unit -> bool
 
     A nested call joins the enclosing transaction (like {!atomically})
     but raises the read-only flag for its duration, so writes under
-    the scope fail even when the outer transaction could write. *)
+    the scope fail even when the outer transaction could write.  A
+    root call takes the root path of {!atomically}, on the snapshot
+    rung. *)
 val read_only : ?config:config -> (txn -> 'a) -> 'a
 
 (** {2 QoS: bounded atomic execution}
@@ -179,7 +186,9 @@ end
     deadline and watchdog apply unchanged).
 
     Nested calls join the enclosing transaction and always return
-    [Committed]: the outer episode's QoS envelope covers them. *)
+    [Committed]: the outer episode's QoS envelope covers them.  Beyond
+    the root path it shares with {!atomically}, [atomic] adds only the
+    admission check and the mapping to {!Outcome}. *)
 val atomic :
   ?config:config ->
   ?deadline:float ->

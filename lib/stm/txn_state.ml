@@ -538,9 +538,16 @@ let pool : slot Domain.DLS.key =
         reuses = 0;
       })
 
-(* An episode is one [atomically] root call: a ladder of attempts
-   sharing the pooled record (or fresh state when nested). *)
-type episode = { ep_txn : t option; ep_backoff : Backoff.t }
+(* An episode is one root call: a ladder of attempts sharing the
+   pooled record (or fresh state when nested).  [ep_token] is the
+   serial-irrevocable quiesce token the episode holds (0 = none); the
+   ladder takes it on the fallback rung and hands it back when the
+   episode ends. *)
+type episode = {
+  ep_txn : t option;
+  ep_backoff : Backoff.t;
+  mutable ep_token : int;
+}
 
 let begin_episode cfg =
   let s = Domain.DLS.get pool in
@@ -548,7 +555,7 @@ let begin_episode cfg =
   if s.depth = 1 then begin
     Backoff.reconfigure s.episode_backoff ~sleep_after:cfg.backoff_sleep_after
       ~sleep:cfg.backoff_sleep;
-    { ep_txn = Some s.slot_txn; ep_backoff = s.episode_backoff }
+    { ep_txn = Some s.slot_txn; ep_backoff = s.episode_backoff; ep_token = 0 }
   end
   else
     {
@@ -556,6 +563,7 @@ let begin_episode cfg =
       ep_backoff =
         Backoff.create ~sleep_after:cfg.backoff_sleep_after
           ~sleep:cfg.backoff_sleep ();
+      ep_token = 0;
     }
 
 let end_episode () =
@@ -564,9 +572,37 @@ let end_episode () =
 
 (* Hand out the episode's record for one attempt.  When auditing is on,
    prove the reset discipline first: the record must be exactly as
-   [retire] left it. *)
-let attempt_txn ep cfg ~proto ~priority ?birth ?(irrevocable = false)
-    ?(deadline_ns = 0) ?(ro = false) () =
+   [retire] left it.  A negative [birth] means "this attempt's
+   snapshot": the first attempt of an episode is its own elder.
+
+   A read-only ([ro]) attempt adopts a registered consistent snapshot,
+   and the abort-free guarantee rests on the order:
+
+   1. Register this domain's snapshot slot with a clock sample BEFORE
+      adopting the final timestamp.  A committing writer trims version
+      chains after ticking the clock; if its floor scan missed our
+      registration, our later sample is >= its commit version, so the
+      head it installed already serves our reads — the trimmed tail
+      was never ours to need.  If the scan saw us, it kept every
+      version at or below our timestamp that we can reach.
+
+   2. Adopt [rv] through the serial-gate seqlock whatever the mode.
+      In-flight lock-mode commits need no global wait: a commit at or
+      below [rv] still holds every written tvar's version-lock until
+      its publish lands, and [Protocol.read_ro] waits a held lock out
+      before walking that tvar's chain — while a commit that takes a
+      lock after our sample ticks strictly above [rv] and is invisible
+      to the snapshot either way.  Serial-gate commits hold no per-tvar
+      locks, but hold the gate from before their tick to after their
+      publish (or advertise [gate_quiescent] once everything ticked is
+      published), so the seqlock sample retires every serial commit
+      the snapshot could see.  Hence every version <= rv is reachable
+      and every read is of a committed, complete state: consistent by
+      construction.
+
+   [retire] deregisters the slot. *)
+let attempt_txn ep cfg ~proto ~priority ~birth ~irrevocable ~deadline_ns
+    ~ro =
   let t =
     match ep.ep_txn with
     | Some t ->
@@ -576,8 +612,9 @@ let attempt_txn ep cfg ~proto ~priority ?birth ?(irrevocable = false)
         t
     | None -> fresh ()
   in
-  let rv = snapshot_clock ~serial:(cfg.mode = Serial_commit) in
-  let birth = match birth with Some b -> b | None -> rv in
+  if ro then Snapshots.register (Clock.now Clock.global);
+  let rv = snapshot_clock ~serial:(ro || cfg.mode = Serial_commit) in
+  let birth = if birth < 0 then rv else birth in
   t.rv <- rv;
   t.tdesc <- Txn_desc.create ~priority ~irrevocable ~deadline_ns ~birth ();
   t.cfg <- cfg;
@@ -615,6 +652,7 @@ let retire t =
   t.abort_hooks <- [];
   t.durable_hooks <- [];
   t.proto <- null_proto;
+  if t.ro then Snapshots.deregister ();
   t.ro <- false;
   t.ro_reads <- 0;
   (* Unpublish from the watchdog even if it was disarmed mid-attempt:

@@ -205,29 +205,37 @@ val watch_list : unit -> watch_slot list
 
 (** {2 The per-domain descriptor pool} *)
 
-(** One [atomically] root call; attempts within it share the pooled
-    record.  Nested episodes (hooks starting new roots) get fresh
-    state. *)
-type episode = { ep_txn : t option; ep_backoff : Backoff.t }
+(** One root call; attempts within it share the pooled record.  Nested
+    episodes (hooks starting new roots) get fresh state.  [ep_token] is
+    the serial-irrevocable quiesce token the episode holds (0 = none),
+    owned by {!Commit_ladder}. *)
+type episode = {
+  ep_txn : t option;
+  ep_backoff : Backoff.t;
+  mutable ep_token : int;
+}
 
 val begin_episode : config -> episode
 val end_episode : unit -> unit
 
 (** Hand out the episode's record, reset for one attempt.  Runs
-    {!audit_pool_residue} first when auditing is enabled. *)
+    {!audit_pool_residue} first when auditing is enabled.  A negative
+    [birth] takes the attempt's own snapshot.  An [ro] attempt
+    registers a {!Snapshots} slot before sampling its snapshot through
+    the serial-gate seqlock. *)
 val attempt_txn :
   episode ->
   config ->
   proto:proto ->
   priority:int ->
-  ?birth:int ->
-  ?irrevocable:bool ->
-  ?deadline_ns:int ->
-  ?ro:bool ->
-  unit ->
+  birth:int ->
+  irrevocable:bool ->
+  deadline_ns:int ->
+  ro:bool ->
   t
 
-(** Scrub an ended attempt so the record can be handed out again. *)
+(** Scrub an ended attempt so the record can be handed out again
+    (deregistering an [ro] attempt's snapshot slot). *)
 val retire : t -> unit
 
 (** Times this domain's pooled record has been handed out. *)

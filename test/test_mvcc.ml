@@ -218,6 +218,46 @@ let test_read_only_violation () =
   check ci "outer write after nested scope" 8
     (Stm.atomically (fun txn -> Stm.read txn tv))
 
+(* -- retry and user exceptions on the snapshot rung ------------------- *)
+
+(* Snapshot reads record no watch entries, so a [retry] there can never
+   be woken: both read-only entry points fail typed, even after a read,
+   and hand the pooled record back clean. *)
+let test_read_only_retry_fails_typed () =
+  let tv = Tvar.make 1 in
+  let body txn =
+    ignore (Stm.read txn tv);
+    Stm.retry txn
+  in
+  (match Stm.read_only ~config:mvcc_cfg body with
+  | exception Stm.Retry_no_reads -> ()
+  | _ -> Alcotest.fail "read_only: expected Retry_no_reads");
+  Stm.descriptor_pool_check ();
+  (match Stm.atomic ~read_only:true ~config:mvcc_cfg body with
+  | exception Stm.Retry_no_reads -> ()
+  | _ -> Alcotest.fail "atomic ~read_only: expected Retry_no_reads");
+  Stm.descriptor_pool_check ()
+
+(* A snapshot is consistent by construction, so a user exception is a
+   real error, never a zombie artifact: it propagates after exactly one
+   attempt, with the pool clean and no read-only commit counted. *)
+let test_read_only_exception_propagates () =
+  let tv = Tvar.make 1 in
+  let attempts = ref 0 in
+  let before = Stats.read () in
+  (match
+     Stm.read_only ~config:mvcc_cfg (fun txn ->
+         incr attempts;
+         ignore (Stm.read txn tv);
+         failwith "boom")
+   with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "expected the body's exception");
+  let d = Stats.diff before (Stats.read ()) in
+  check ci "exactly one attempt" 1 !attempts;
+  check ci "no read-only commit" 0 d.Stats.ro_commits;
+  Stm.descriptor_pool_check ()
+
 (* -- unarmed processes keep the one-store publish -------------------- *)
 
 (* Can't assert the *absence* of arming in this binary (other suites
@@ -241,4 +281,8 @@ let suite =
     slow "version-gc fault point: invariants hold, zero RO aborts"
       test_version_gc_chaos;
     test "writes in read-only scopes fail typed" test_read_only_violation;
+    test "retry in a read-only transaction fails typed"
+      test_read_only_retry_fails_typed;
+    test "a raising read-only body propagates after one attempt"
+      test_read_only_exception_propagates;
   ]

@@ -129,6 +129,49 @@ let test_retry_empty_read_set_fails () =
   | _ -> Alcotest.fail "expected Retry_no_reads");
   Stm.descriptor_pool_check ()
 
+(* A [retry] on the serial-irrevocable rung: with [fallback_after = 0]
+   every attempt runs irrevocably, so the retrier holds the quiesce
+   token when it retries.  It must hand the token back before parking
+   — else the waking writer's commit is turned away forever — then wake,
+   re-enter the fallback rung, commit, and leave a clean pool under the
+   leak audit (which also fails on a token that outlives its episode). *)
+let test_retry_in_fallback_rung () =
+  let saved_mode = Stm.retry_mode () in
+  Stm.set_retry_mode Stm.Park;
+  Stm.set_leak_audit true;
+  Fun.protect
+    ~finally:(fun () ->
+      Stm.set_leak_audit false;
+      Stm.set_retry_mode saved_mode)
+    (fun () ->
+      let cfg = { lazy_cfg with Stm.fallback_after = 0 } in
+      let flag = Tvar.make false in
+      let attempts = Atomic.make 0 in
+      let before = Stats.read () in
+      let d =
+        Domain.spawn (fun () ->
+            let v =
+              Stm.atomically ~config:cfg (fun txn ->
+                  Atomic.incr attempts;
+                  if not (Stm.read txn flag) then Stm.retry txn;
+                  "woke")
+            in
+            Stm.descriptor_pool_check ();
+            v)
+      in
+      let t0 = Unix.gettimeofday () in
+      while Stm.parked_waiters () = 0 && Unix.gettimeofday () -. t0 < 5. do
+        Unix.sleepf 1e-3
+      done;
+      check cb "retrier parked" true (Stm.parked_waiters () > 0);
+      Stm.atomically ~config:lazy_cfg (fun txn -> Stm.write txn flag true);
+      check cs "retrier woke and committed" "woke" (Domain.join d);
+      let s = Stats.diff before (Stats.read ()) in
+      check ci "two attempts" 2 (Atomic.get attempts);
+      check ci "both attempts ran on the fallback rung" 2 s.Stats.fallbacks;
+      check ci "one park" 1 s.Stats.parks;
+      Stm.descriptor_pool_check ())
+
 let test_or_else_first_branch () =
   let r = Tvar.make 1 in
   let v = Stm.atomically (fun txn -> Stm.or_else txn (fun _ -> 10) (fun _ -> 20)) in
@@ -426,6 +469,7 @@ let suite =
     test "commit hooks dropped on abort" test_commit_hooks_not_run_on_abort;
     test "retry wakes on change" test_retry_wakes_on_change;
     test "retry with empty read set" test_retry_empty_read_set_fails;
+    test "retry on the fallback rung" test_retry_in_fallback_rung;
     test "or_else first" test_or_else_first_branch;
     test "or_else second" test_or_else_second_branch;
     test "or_else rollback" test_or_else_rolls_back_first_branch_writes;
